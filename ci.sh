@@ -14,6 +14,16 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "== determinism loop (50 runs)"
+# Repeated checks must report identical violations and identical
+# deterministic work counters (EngineStats::work). Scheduling telemetry
+# such as work steals varies run to run; looping makes a leak of it into
+# the compared counters fail here instead of once in a while.
+for run in $(seq 1 50); do
+    out=$(cargo test -q --release -p odrc-bench --test determinism 2>&1) \
+        || { echo "$out"; echo "determinism failed on run $run of 50"; exit 1; }
+done
+
 echo "== fault-injection suite (seeded FaultPlan matrix)"
 # The device fault paths and the engine's graceful-degradation
 # machinery, including the 100-seed schedule matrix over the paper's
@@ -34,11 +44,13 @@ echo "== host executor equivalence (thread-count matrix)"
 # and under seeded fault schedules.
 cargo test -q --release -p odrc --test host_parallel_equivalence
 
-echo "== dispatch equivalence (pool/fusion/graph matrix, 25 fault seeds)"
+echo "== dispatch equivalence (pool/planner matrix, 25 fault seeds)"
 # The persistent-pool dispatch layer: pooled vs scoped workers, fused
-# vs unfused launches, recorded vs replayed launch graphs — all
-# byte-identical across modes, planner, and host thread counts, with
-# fault ordinals preserved under seeded schedules.
+# batches, and launch graphs replayed under the planner — all
+# byte-identical to the sequential baseline across modes, planner, and
+# host thread counts, and under seeded fault schedules. (Fused batches
+# tick the same fault ordinals as direct stream calls: pinned in the
+# xpu stream tests.)
 cargo test -q --release -p odrc --test dispatch_equivalence
 
 echo "== perf gate (kernel-wait + host scaling vs committed baseline)"

@@ -43,7 +43,7 @@ use crate::parallel;
 use crate::rules::{Rule, RuleDeck, RuleKind};
 use crate::scene::{DirtyWindow, LayerScene};
 use crate::sequential::{self, RunContext};
-use crate::violation::{canonicalize, Violation};
+use crate::violation::{canonicalize, Violation, ViolationKind};
 
 /// The outcome of a delta re-check, relative to the previous run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -543,9 +543,10 @@ impl Engine {
                 };
                 let mut fresh = Vec::new();
                 match self.mode {
-                    Mode::Sequential => sequential::check_enclosure_rule(
+                    Mode::Sequential => sequential::check_pairs_rule(
                         ctx,
                         &rule.name,
+                        ViolationKind::Enclosure,
                         *inner,
                         *outer,
                         *min,
@@ -578,9 +579,10 @@ impl Engine {
                 };
                 let mut fresh = Vec::new();
                 match self.mode {
-                    Mode::Sequential => sequential::check_overlap_rule(
+                    Mode::Sequential => sequential::check_pairs_rule(
                         ctx,
                         &rule.name,
+                        ViolationKind::OverlapArea,
                         *inner,
                         *outer,
                         *min_area,
@@ -709,6 +711,6 @@ mod tests {
         assert!(report.dirty.is_empty());
         assert_eq!(report.violations, base.violations);
         assert!(report.delta.is_clean());
-        assert_eq!(report.stats, EngineStats::default());
+        assert_eq!(report.stats.work(), crate::WorkStats::default());
     }
 }

@@ -9,7 +9,7 @@ use crate::checkpoint::CheckpointJournal;
 use crate::parallel;
 use crate::rules::{Rule, RuleDeck, RuleKind};
 use crate::sequential::{self, RunContext};
-use crate::violation::{canonicalize, Violation};
+use crate::violation::{canonicalize, Violation, ViolationKind};
 
 /// Execution mode of the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,25 +61,13 @@ pub struct EngineOptions {
     /// loop (fresh scene and uploads per rule, synchronize between
     /// rules) — the planner ablation and the equivalence baseline.
     pub planner: bool,
-    /// Fuse each rule's per-row uploads and kernel launches into a
-    /// single batched stream dispatch (one worker wake per phase
-    /// instead of one per command). Results and fault-injection
-    /// ordinals are byte-identical either way; disabling it is the
-    /// fusion ablation ([`EngineStats::launches_fused`]).
-    pub fusion: bool,
-    /// Replay the recorded per-row launch schedule of the first rule on
-    /// a `(layer, partition)` for later rules sharing it, instead of
-    /// re-deriving executor choices and launch geometry per rule.
-    /// Effective only with the planner on; disabling it is the replay
-    /// ablation ([`EngineStats::graph_replays`]).
-    pub launch_graph: bool,
     /// Worker threads for the shared work-stealing host executor that
     /// fans out scene builds, partition assignment, row packing, the
     /// row-parallel sequential checks, and violation canonicalization.
     /// `None` (the default) sizes it to the host's available
     /// parallelism. The budget is shared with — not additive to — the
-    /// device's kernel dispatch, and `Some(1)` runs the exact
-    /// single-threaded code paths.
+    /// device's kernel dispatch, and `Some(1)` runs every fan-out
+    /// inline on the calling thread.
     pub host_threads: Option<usize>,
     /// An *external* extra-thread budget shared across engine runs —
     /// the multi-tenant generalization of the sizing handshake. A
@@ -135,8 +123,6 @@ impl Default for EngineOptions {
             max_device_retries: 2,
             retry_backoff_ms: 1,
             planner: true,
-            fusion: true,
-            launch_graph: true,
             host_threads: None,
             shared_gate: None,
             memory_budget: None,
@@ -186,8 +172,12 @@ impl std::fmt::Display for RuleStatus {
     }
 }
 
-/// Work accounting for a check run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Work accounting for a check run: the deterministic work counters of
+/// [`EngineStats::work`] plus scheduling telemetry (host tasks and
+/// steals, device retries, fused launches, worker wakeups) that two
+/// identical runs need not repeat. Compare runs through
+/// [`EngineStats::work`].
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EngineStats {
     /// Checks actually executed (cell-level units for intra rules,
     /// emitted records for device space kernels).
@@ -214,10 +204,11 @@ pub struct EngineStats {
     /// Bytes actually moved host→device through the planner's shared
     /// upload path (shallow sizes at the upload call sites).
     pub bytes_uploaded: u64,
-    /// Tasks executed by the host executor (zero when it ran serially —
-    /// the single-threaded code paths never fan out).
+    /// Tasks executed by the host executor's fan-outs, inline or on
+    /// workers. Scheduling telemetry, left out of [`EngineStats::work`].
     pub host_tasks: u64,
     /// Successful work steals between host-executor workers.
+    /// Scheduling telemetry: varies run to run.
     pub host_steals: u64,
     /// Rules that ran to completion this run.
     pub rules_completed: usize,
@@ -255,6 +246,55 @@ impl EngineStats {
     pub fn degraded(&self) -> bool {
         self.device_retries > 0 || self.device_fallbacks > 0
     }
+
+    /// The counters that repeat exactly for the same layout, deck and
+    /// options, whatever the thread count or scheduling.
+    pub fn work(&self) -> WorkStats {
+        WorkStats {
+            checks_computed: self.checks_computed,
+            checks_reused: self.checks_reused,
+            candidate_pairs: self.candidate_pairs,
+            rows: self.rows,
+            scenes_built: self.scenes_built,
+            scenes_reused: self.scenes_reused,
+            uploads_elided: self.uploads_elided,
+            bytes_uploaded: self.bytes_uploaded,
+            rules_completed: self.rules_completed,
+            rules_resumed: self.rules_resumed,
+            rules_interrupted: self.rules_interrupted,
+            graph_replays: self.graph_replays,
+            shards_checked: self.shards_checked,
+            shards_built: self.shards_built,
+            shards_evicted: self.shards_evicted,
+            shards_resumed: self.shards_resumed,
+            shards_degraded: self.shards_degraded,
+        }
+    }
+}
+
+/// The deterministic subset of [`EngineStats`] (see
+/// [`EngineStats::work`]); each field means the same as there. Device
+/// retries and fallbacks are left out: under a fault schedule,
+/// concurrent streams race for the device-wide fault ordinals.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkStats {
+    pub checks_computed: usize,
+    pub checks_reused: usize,
+    pub candidate_pairs: usize,
+    pub rows: usize,
+    pub scenes_built: usize,
+    pub scenes_reused: usize,
+    pub uploads_elided: usize,
+    pub bytes_uploaded: u64,
+    pub rules_completed: usize,
+    pub rules_resumed: usize,
+    pub rules_interrupted: usize,
+    pub graph_replays: usize,
+    pub shards_checked: usize,
+    pub shards_built: usize,
+    pub shards_evicted: usize,
+    pub shards_resumed: usize,
+    pub shards_degraded: usize,
 }
 
 /// The result of [`Engine::check`].
@@ -827,18 +867,30 @@ impl Engine {
                 let sig = crate::cache::rule_signature(rule);
                 sequential::check_space_rule(ctx, &rule.name, *layer, spec, sig, out);
             }
-            RuleKind::Enclosure { inner, outer, min } => {
-                sequential::check_enclosure_rule(ctx, &rule.name, *inner, *outer, *min, None, out);
-            }
+            RuleKind::Enclosure { inner, outer, min } => sequential::check_pairs_rule(
+                ctx,
+                &rule.name,
+                ViolationKind::Enclosure,
+                *inner,
+                *outer,
+                *min,
+                None,
+                out,
+            ),
             RuleKind::OverlapArea {
                 inner,
                 outer,
                 min_area,
-            } => {
-                sequential::check_overlap_rule(
-                    ctx, &rule.name, *inner, *outer, *min_area, None, out,
-                );
-            }
+            } => sequential::check_pairs_rule(
+                ctx,
+                &rule.name,
+                ViolationKind::OverlapArea,
+                *inner,
+                *outer,
+                *min_area,
+                None,
+                out,
+            ),
             _ => sequential::check_intra_rule(ctx, rule, out),
         }
     }

@@ -66,6 +66,7 @@ pub use deck_parser::{parse_deck, ParseDeckError, ParseDeckErrorKind};
 pub use delta::{dirty_rects, DeltaReport};
 pub use engine::{
     CheckReport, Engine, EngineOptions, EngineStats, Mode, PairIndex, ProgressFn, RuleStatus,
+    WorkStats,
 };
 pub use odrc_infra::{install_signal_handlers, CancelReason, CancelToken};
 pub use plan::ExecutionPlan;

@@ -58,7 +58,6 @@ use odrc_xpu::{
 };
 
 use crate::checks::edge::{space_pair_spec, SpaceSpec};
-use crate::checks::enclosure_margin;
 use crate::checks::poly::LocalViolation;
 use crate::plan::{
     build_runs, pack, span_lo, GraphNode, IntraData, LaunchGraph, PackedEdge, PlannedRow, RowSet,
@@ -66,7 +65,7 @@ use crate::plan::{
 };
 use crate::rules::{Rule, RuleKind};
 use crate::scene::{DirtyWindow, LayerScene};
-use crate::sequential::RunContext;
+use crate::sequential::{gather_distance, pairs_measure, RunContext};
 use crate::violation::{Violation, ViolationKind};
 
 pub(crate) use crate::plan::unpack;
@@ -289,7 +288,7 @@ pub(crate) fn issue_rule(ctx: &mut RunContext<'_>, stream: Stream, rule: &Rule) 
                 min: *min,
                 min_projection: *min_projection,
             };
-            let rows = ctx.row_set(stream.device(), *layer, *min);
+            let rows = ctx.row_set(*layer, *min);
             let graph = ctx.launch_graph(*layer, *min, &rows);
             InFlightKind::Space(issue_space(ctx, &stream, &rule.name, &rows, &graph, spec))
         }
@@ -362,7 +361,7 @@ pub(crate) fn check_space_scene_parallel(
     spec: SpaceSpec,
     out: &mut Vec<Violation>,
 ) {
-    let rows = RowSet::build(ctx, stream.device(), scene, spec.min);
+    let rows = RowSet::build(ctx, scene, spec.min);
     let graph = LaunchGraph::record(&rows.rows, ctx.options.sweep_threshold);
     let issue = issue_space(ctx, stream, rule_name, &rows, &graph, spec);
     collect_space(ctx, stream, issue, out);
@@ -373,8 +372,8 @@ pub(crate) fn check_space_scene_parallel(
 /// Issue half of the spacing pipeline: walk the (recorded or replayed)
 /// launch graph, acquiring each row's device-resident buffers and
 /// enqueuing its first kernel phase. The whole phase goes through one
-/// [`LaunchBatch`], so under fusion every row's uploads and kernels
-/// ride a single stream dispatch (one worker wake per rule).
+/// [`LaunchBatch`], so every row's uploads and kernels ride a single
+/// stream dispatch (one worker wake per rule).
 fn issue_space(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
@@ -386,7 +385,7 @@ fn issue_space(
     ctx.stats.rows += rows.partition_rows;
     let mut jobs = Vec::with_capacity(graph.nodes.len());
     let mut failed = Vec::new();
-    let mut batch = stream.batch(ctx.options.fusion);
+    let mut batch = stream.batch();
     for node in &graph.nodes {
         match enqueue_row_phase1(ctx, &mut batch, node, spec) {
             Ok(job) => jobs.push(job),
@@ -550,7 +549,7 @@ fn enqueue_row_emit(
     spec: SpaceSpec,
 ) -> XpuResult<Pending<Vec<PairRecord>>> {
     let total = *offsets.last().expect("scan returns n+1 entries");
-    let mut batch = stream.batch(ctx.options.fusion);
+    let mut batch = stream.batch();
     let (dev_edges, elided) = row.edges.acquire_in(&mut batch)?;
     ctx.note_upload(elided, row.edges.bytes());
     let (dev_runs, elided) = row.runs.acquire_in(&mut batch)?;
@@ -1026,7 +1025,7 @@ fn enqueue_intra(
     min: i64,
 ) -> XpuResult<Pending<Vec<Vec<LocalViolation>>>> {
     let n = data.polys.host.len();
-    let mut batch = stream.batch(ctx.options.fusion);
+    let mut batch = stream.batch();
     let (dev_polys, elided) = data.polys.acquire_in(&mut batch)?;
     ctx.note_upload(elided, data.polys.bytes());
     let out_buf = batch.try_alloc::<Vec<LocalViolation>>(n)?;
@@ -1164,13 +1163,8 @@ fn issue_pairs(
     outer: Layer,
     min: i64,
     window: Option<DirtyWindow<'_>>,
-    // The enclosure margin-gather distance: the rule min for
-    // enclosure, zero for overlap (any touching outer shape counts).
 ) -> PairsIssue {
-    let gather = match kind {
-        ViolationKind::Enclosure => min,
-        _ => 0,
-    };
+    let gather = gather_distance(kind, min);
     let work: Arc<Vec<(Polygon, Vec<Polygon>)>> = Arc::new(crate::sequential::enclosure_work(
         ctx, inner, outer, gather, window,
     ));
@@ -1191,26 +1185,6 @@ fn issue_pairs(
     }
 }
 
-/// The per-shape measurement kernel body: enclosure margin, or shared
-/// (boolean AND) area.
-fn pairs_measure(
-    kind: ViolationKind,
-    min: i64,
-) -> impl Fn(&Polygon, &[Polygon]) -> i64 + Send + Sync + Clone + 'static {
-    move |poly, candidates| match kind {
-        ViolationKind::Enclosure => {
-            let refs: Vec<&Polygon> = candidates.iter().collect();
-            enclosure_margin(poly.mbr(), &refs, min)
-        }
-        _ => {
-            use odrc_infra::Region;
-            let inner_region = Region::from_polygons([poly]);
-            let outer_region = Region::from_polygons(candidates.iter());
-            inner_region.intersection(&outer_region).area()
-        }
-    }
-}
-
 fn enqueue_pairs(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
@@ -1220,7 +1194,7 @@ fn enqueue_pairs(
 ) -> XpuResult<Pending<Vec<i64>>> {
     let n = work.len();
     let bytes = (n * std::mem::size_of::<(Polygon, Vec<Polygon>)>()) as u64;
-    let mut batch = stream.batch(ctx.options.fusion);
+    let mut batch = stream.batch();
     let dev_work = batch.try_upload_shared(Arc::clone(work))?;
     ctx.note_upload(false, bytes);
     let measures = batch.try_alloc::<i64>(n)?;

@@ -47,7 +47,7 @@ use std::sync::Arc;
 
 use odrc_db::{CellId, Layer};
 use odrc_geometry::{Coord, Edge, Point, Polygon};
-use odrc_xpu::{Device, DeviceBuffer, Event, LaunchBatch, LaunchConfig, Stream, XpuResult};
+use odrc_xpu::{DeviceBuffer, Event, LaunchBatch, LaunchConfig, Stream, XpuResult};
 use parking_lot::Mutex;
 
 use crate::rules::RuleDeck;
@@ -172,11 +172,11 @@ impl<T: Send + Sync + 'static> SharedDeviceData<T> {
     /// `true` when the upload was elided (already resident). The first
     /// call uploads on `stream`; an entry whose upload is known to have
     /// failed is repaired with a fresh upload here. (The engine paths
-    /// go through [`Self::acquire_in`]; this unbatched form is kept
-    /// for direct-stream consumers and tests.)
+    /// go through [`Self::acquire_in`]; this self-committing form is
+    /// kept for tests.)
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn acquire(&self, stream: &Stream) -> XpuResult<(DeviceBuffer<T>, bool)> {
-        let mut batch = stream.batch(false);
+        let mut batch = stream.batch();
         let out = self.acquire_in(&mut batch);
         batch.commit();
         out
@@ -234,80 +234,39 @@ impl RowSet {
     /// Packs and sorts every partition row of `scene`. `min` is the
     /// rule distance driving the partition inflation; two rules whose
     /// distances round to the same half-width share the same set.
-    pub fn build(
-        ctx: &mut RunContext<'_>,
-        device: &Device,
-        scene: &LayerScene,
-        min: i64,
-    ) -> RowSet {
+    pub fn build(ctx: &mut RunContext<'_>, scene: &LayerScene, min: i64) -> RowSet {
         let host = Arc::clone(&ctx.host);
-        let (_, partition) =
-            partition_scene(scene, min, ctx.options.partition, ctx.profiler, &host);
-        let partition_rows = partition.len();
-        let mut rows = Vec::new();
-        if host.is_serial() {
+        let partition = partition_scene(scene, min, ctx.options.partition, ctx.profiler, &host);
+        // Row-parallel packing: each task packs and sorts its row on the
+        // host. [`edge_sort_key`] is a total order on the packed values,
+        // so the sorted array is unique — and keeping the device out of
+        // the packing path means pack-time sorts consume no fault
+        // ordinals.
+        let start = std::time::Instant::now();
+        let packed = host.run("pack", partition.len(), |ri| {
             let mut polys = Vec::new();
-            for row in &partition {
-                let edges = ctx.profiler.time("pack", || {
-                    let mut edges: Vec<PackedEdge> = Vec::new();
-                    for &m in &row.members {
-                        polys.clear();
-                        scene.object_polygons_into(&scene.objects[m], &mut polys);
-                        for poly in &polys {
-                            edges.extend(poly.edges().map(pack));
-                        }
-                    }
-                    // Every executor windows through the run table, so
-                    // sorting unconditionally keeps one packing path.
-                    // Large rows sort on the device.
-                    odrc_xpu::sort::parallel_sort_by_key(device, &mut edges, |&e| edge_sort_key(e));
-                    edges
-                });
-                if edges.is_empty() {
-                    continue;
+            let mut edges: Vec<PackedEdge> = Vec::new();
+            for &m in &partition.rows()[ri].members {
+                polys.clear();
+                scene.object_polygons_into(&scene.objects[m], &mut polys);
+                for poly in &polys {
+                    edges.extend(poly.edges().map(pack));
                 }
-                let runs = SharedDeviceData::new(Arc::new(build_runs(&edges)));
-                rows.push(Arc::new(PlannedRow {
-                    edges: SharedDeviceData::new(Arc::new(edges)),
-                    runs,
-                }));
             }
-        } else {
-            // Row-parallel packing: each task packs and sorts its row
-            // on the host. [`edge_sort_key`] is a total order on the
-            // packed values, so the host sort produces exactly the
-            // array the device sort would — and keeping the device out
-            // of the packing path here means fault ordinals are never
-            // consumed by pack-time sorts.
-            let start = std::time::Instant::now();
-            let row_refs: Vec<&odrc_infra::partition::Row> = partition.iter().collect();
-            let rows_ref = &row_refs;
-            let packed = host.run("pack", row_refs.len(), |ri| {
-                let mut polys = Vec::new();
-                let mut edges: Vec<PackedEdge> = Vec::new();
-                for &m in &rows_ref[ri].members {
-                    polys.clear();
-                    scene.object_polygons_into(&scene.objects[m], &mut polys);
-                    for poly in &polys {
-                        edges.extend(poly.edges().map(pack));
-                    }
-                }
-                edges.sort_unstable_by_key(|&e| edge_sort_key(e));
-                if edges.is_empty() {
-                    return None;
-                }
-                let runs = SharedDeviceData::new(Arc::new(build_runs(&edges)));
-                Some(Arc::new(PlannedRow {
-                    edges: SharedDeviceData::new(Arc::new(edges)),
-                    runs,
-                }))
-            });
-            rows.extend(packed.into_iter().flatten());
-            ctx.profiler.add("pack", start.elapsed());
-        }
+            edges.sort_unstable_by_key(|&e| edge_sort_key(e));
+            if edges.is_empty() {
+                return None;
+            }
+            let runs = SharedDeviceData::new(Arc::new(build_runs(&edges)));
+            Some(Arc::new(PlannedRow {
+                edges: SharedDeviceData::new(Arc::new(edges)),
+                runs,
+            }))
+        });
+        ctx.profiler.add("pack", start.elapsed());
         RowSet {
-            rows,
-            partition_rows,
+            rows: packed.into_iter().flatten().collect(),
+            partition_rows: partition.len(),
         }
     }
 }
@@ -439,6 +398,7 @@ impl ExecutionPlan {
 mod tests {
     use super::*;
     use crate::rules::rule;
+    use odrc_xpu::Device;
 
     #[test]
     fn plan_groups_rules_by_layer() {

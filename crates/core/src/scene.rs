@@ -328,13 +328,12 @@ pub(crate) fn layer_object_mbrs(layout: &Layout, layer: Layer) -> Vec<Rect> {
         .collect()
 }
 
-/// Pass 2 of a scene build: flatten the kept objects. Top polygons
-/// stream straight from the cell again (pass 1 enumerated them in the
-/// same order), so only the kept ones are ever copied.
-///
-/// On a parallel executor the expensive step — flattening each unique
-/// kept cell's subtree — fans out first; the assembly below then finds
-/// every cell pre-flattened.
+/// Pass 2 of a scene build: flatten the kept objects. Flattening each
+/// unique kept cell's subtree — the expensive step — fans out on the
+/// host executor first; the assembly below then finds every cell
+/// pre-flattened. Top polygons stream straight from the cell again
+/// (pass 1 enumerated them in the same order), so only the kept ones
+/// are ever copied.
 fn assemble(
     layout: &Layout,
     layer: Layer,
@@ -343,40 +342,31 @@ fn assemble(
     host: &odrc_infra::HostExecutor,
 ) -> LayerScene {
     let top_cell = layout.cell(layout.top());
-    let mut local: HashMap<CellId, Vec<Polygon>> = HashMap::new();
-    if !host.is_serial() {
-        let mut uniq: Vec<CellId> = Vec::new();
-        let mut seen: std::collections::HashSet<CellId> = std::collections::HashSet::new();
-        for (proto, kept) in protos.iter().zip(&keep) {
-            if let SceneSource::Cell { cell, .. } = proto.source {
-                if *kept && seen.insert(cell) {
-                    uniq.push(cell);
-                }
+    let mut uniq: Vec<CellId> = Vec::new();
+    let mut seen: std::collections::HashSet<CellId> = std::collections::HashSet::new();
+    for (proto, kept) in protos.iter().zip(&keep) {
+        if let SceneSource::Cell { cell, .. } = proto.source {
+            if *kept && seen.insert(cell) {
+                uniq.push(cell);
             }
         }
-        let uniq_ref = &uniq;
-        let flats = host.run("scene", uniq.len(), |i| {
-            let mut flat = Vec::new();
-            layout.collect_layer_polygons(uniq_ref[i], Transform::IDENTITY, layer, &mut flat);
-            flat.into_iter().map(|f| f.polygon).collect::<Vec<_>>()
-        });
-        local.extend(uniq.into_iter().zip(flats));
     }
+    let uniq_ref = &uniq;
+    let flats = host.run("scene", uniq.len(), |i| {
+        let mut flat = Vec::new();
+        layout.collect_layer_polygons(uniq_ref[i], Transform::IDENTITY, layer, &mut flat);
+        flat.into_iter().map(|f| f.polygon).collect::<Vec<_>>()
+    });
+    let local: HashMap<CellId, Vec<Polygon>> = uniq.into_iter().zip(flats).collect();
     let mut objects = Vec::new();
     let mut top_polys = Vec::new();
     let mut top_iter = top_cell.polygons_on(layer);
     for (proto, kept) in protos.into_iter().zip(keep) {
         match proto.source {
-            SceneSource::Cell { cell, .. } => {
-                if !kept {
-                    continue;
+            SceneSource::Cell { .. } => {
+                if kept {
+                    objects.push(proto);
                 }
-                local.entry(cell).or_insert_with(|| {
-                    let mut flat = Vec::new();
-                    layout.collect_layer_polygons(cell, Transform::IDENTITY, layer, &mut flat);
-                    flat.into_iter().map(|f| f.polygon).collect()
-                });
-                objects.push(proto);
             }
             SceneSource::TopPolygon { .. } => {
                 let poly = top_iter.next().expect("pass 1 and 2 agree on top polygons");

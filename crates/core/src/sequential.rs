@@ -19,11 +19,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use odrc_db::{CellId, Layer, Layout};
-use odrc_geometry::{Coord, Rect};
+use odrc_geometry::{Coord, Polygon, Rect};
 use odrc_infra::host::HostExecutor;
 use odrc_infra::partition::{partition_rows, partition_rows_on, Row, RowPartition};
 use odrc_infra::sweep::sweep_overlaps;
-use odrc_infra::Profiler;
+use odrc_infra::{Profiler, Region};
 
 use crate::cache::CacheHandle;
 use crate::checks::poly::{
@@ -52,8 +52,8 @@ pub(crate) struct RunContext<'a> {
     /// polygon lists). Consulted only when `options.planner` is set.
     pub plan: PlanCache,
     /// The shared work-stealing host executor every hot host phase fans
-    /// out on. Sized by `options.host_threads`; serial (one thread)
-    /// executors never fan out, keeping the single-threaded code paths.
+    /// out on. Sized by `options.host_threads`; a one-thread executor
+    /// runs every fan-out inline on the caller, in task order.
     pub host: Arc<HostExecutor>,
     /// Device work units that failed and were deferred so healthy rules
     /// keep draining; retried (with backoff deadlines) after all rules
@@ -137,7 +137,7 @@ impl<'a> RunContext<'a> {
 
     /// The packed, sorted row set of `layer` for a rule distance of
     /// `min`, memoized by [`RowSetKey`] when the planner is on.
-    pub fn row_set(&mut self, device: &odrc_xpu::Device, layer: Layer, min: i64) -> Arc<RowSet> {
+    pub fn row_set(&mut self, layer: Layer, min: i64) -> Arc<RowSet> {
         let key = RowSetKey::new(layer, min, self.options.partition);
         if self.options.planner {
             if let Some(rows) = self.plan.rows.get(&key) {
@@ -145,7 +145,7 @@ impl<'a> RunContext<'a> {
             }
         }
         let scene = self.layer_scene(layer);
-        let rows = Arc::new(RowSet::build(self, device, &scene, min));
+        let rows = Arc::new(RowSet::build(self, &scene, min));
         if self.options.planner {
             self.plan.rows.insert(key, Arc::clone(&rows));
         }
@@ -181,14 +181,12 @@ impl<'a> RunContext<'a> {
     /// The recorded launch graph of `(layer, min)`'s row set: replayed
     /// from the plan cache when a previous rule on the same key already
     /// recorded one ([`EngineStats::graph_replays`]), recorded fresh
-    /// otherwise. Gated on both the planner and `options.launch_graph`
-    /// (the replay ablation switch).
+    /// otherwise. Replays are gated on the planner.
     ///
     /// [`EngineStats::graph_replays`]: crate::EngineStats::graph_replays
     pub fn launch_graph(&mut self, layer: Layer, min: i64, rows: &RowSet) -> Arc<LaunchGraph> {
-        let cache = self.options.planner && self.options.launch_graph;
         let key = RowSetKey::new(layer, min, self.options.partition);
-        if cache {
+        if self.options.planner {
             if let Some(graph) = self.plan.graphs.get(&key) {
                 self.stats.graph_replays += 1;
                 return Arc::clone(graph);
@@ -198,7 +196,7 @@ impl<'a> RunContext<'a> {
             &rows.rows,
             self.options.sweep_threshold,
         ));
-        if cache {
+        if self.options.planner {
             self.plan.graphs.insert(key, Arc::clone(&graph));
         }
         graph
@@ -281,78 +279,52 @@ pub(crate) fn check_intra_rule(ctx: &mut RunContext<'_>, rule: &Rule, out: &mut 
     };
 
     // Compute local violations per cell (once, under pruning), serving
-    // them from the persistent cache when the content is known.
-    let mut per_cell: Vec<(CellId, Arc<Vec<LocalViolation>>, bool)> = Vec::new();
-    if ctx.host.is_serial() {
-        ctx.profiler.time("edge-check", || {
-            for (cell, polys) in &targets {
-                if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
-                    let key = handle.keys.local[cell.index()];
-                    if let Some(hit) = handle.cache.get(sig, key) {
-                        per_cell.push((*cell, hit, true));
-                        continue;
-                    }
-                }
-                let c = layout.cell(*cell);
-                let mut local = Vec::new();
-                for &pi in polys {
-                    polygon_violations(&c.polygons()[pi], &spec, &mut local);
-                }
-                let arc = Arc::new(local);
-                if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
-                    let key = handle.keys.local[cell.index()];
-                    handle.cache.insert(sig, key, Arc::clone(&arc));
-                }
-                per_cell.push((*cell, arc, false));
+    // them from the persistent cache when the content is known. Cache
+    // consults stay on the caller (the handle is exclusive); the misses
+    // fan out and come back in target order.
+    let host = Arc::clone(&ctx.host);
+    let start = std::time::Instant::now();
+    let mut slots: Vec<Option<(Arc<Vec<LocalViolation>>, bool)>> = vec![None; targets.len()];
+    let mut missing: Vec<usize> = Vec::new();
+    for (ti, (cell, _)) in targets.iter().enumerate() {
+        if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
+            let key = handle.keys.local[cell.index()];
+            if let Some(hit) = handle.cache.get(sig, key) {
+                slots[ti] = Some((hit, true));
+                continue;
             }
-        });
-    } else {
-        // Cache consults stay serial (the handle is exclusive); the
-        // actual polygon checks of the misses fan out, and `per_cell`
-        // is assembled back in target order so downstream instantiation
-        // is order-identical to the serial loop.
-        let host = Arc::clone(&ctx.host);
-        let start = std::time::Instant::now();
-        let mut slots: Vec<Option<Arc<Vec<LocalViolation>>>> = vec![None; targets.len()];
-        let mut missing: Vec<usize> = Vec::new();
-        for (ti, (cell, _)) in targets.iter().enumerate() {
-            if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
-                let key = handle.keys.local[cell.index()];
-                if let Some(hit) = handle.cache.get(sig, key) {
-                    slots[ti] = Some(hit);
-                    continue;
-                }
-            }
-            missing.push(ti);
         }
-        let targets_ref = &targets;
-        let missing_ref = &missing;
-        let spec_ref = &spec;
-        let computed = host.run("edge-check", missing.len(), |i| {
-            let (cell, polys) = &targets_ref[missing_ref[i]];
-            let c = layout.cell(*cell);
-            let mut local = Vec::new();
-            for &pi in polys {
-                polygon_violations(&c.polygons()[pi], spec_ref, &mut local);
-            }
-            Arc::new(local)
-        });
-        let mut is_miss = vec![false; targets.len()];
-        for (&ti, arc) in missing.iter().zip(computed) {
-            is_miss[ti] = true;
-            let (cell, _) = &targets[ti];
-            if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
-                let key = handle.keys.local[cell.index()];
-                handle.cache.insert(sig, key, Arc::clone(&arc));
-            }
-            slots[ti] = Some(arc);
-        }
-        for (ti, (cell, _)) in targets.iter().enumerate() {
-            let arc = slots[ti].take().expect("every target resolved");
-            per_cell.push((*cell, arc, !is_miss[ti]));
-        }
-        ctx.profiler.add("edge-check", start.elapsed());
+        missing.push(ti);
     }
+    let targets_ref = &targets;
+    let missing_ref = &missing;
+    let spec_ref = &spec;
+    let computed = host.run("edge-check", missing.len(), |i| {
+        let (cell, polys) = &targets_ref[missing_ref[i]];
+        let c = layout.cell(*cell);
+        let mut local = Vec::new();
+        for &pi in polys {
+            polygon_violations(&c.polygons()[pi], spec_ref, &mut local);
+        }
+        Arc::new(local)
+    });
+    for (&ti, arc) in missing.iter().zip(computed) {
+        let (cell, _) = &targets[ti];
+        if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
+            let key = handle.keys.local[cell.index()];
+            handle.cache.insert(sig, key, Arc::clone(&arc));
+        }
+        slots[ti] = Some((arc, false));
+    }
+    let per_cell: Vec<(CellId, Arc<Vec<LocalViolation>>, bool)> = targets
+        .iter()
+        .zip(slots)
+        .map(|((cell, _), slot)| {
+            let (arc, from_cache) = slot.expect("every target resolved");
+            (*cell, arc, from_cache)
+        })
+        .collect();
+    ctx.profiler.add("edge-check", start.elapsed());
 
     // Instantiate through every placement of the cell.
     let instances = ctx.instances().clone();
@@ -408,6 +380,32 @@ pub(crate) fn check_intra_rule(ctx: &mut RunContext<'_>, rule: &Rule, out: &mut 
     ctx.stats.checks_reused += reused;
 }
 
+/// Builds the row partition (§IV-B) over object MBRs, inflated by half
+/// the rule distance `min` so rows cannot interact.
+pub(crate) fn partition_objects(
+    mbrs: &[Rect],
+    min: i64,
+    enabled: bool,
+    profiler: &mut Profiler,
+    host: &HostExecutor,
+) -> RowPartition {
+    let half = ((min + 1) / 2) as Coord;
+    profiler.time("partition", || {
+        if enabled {
+            partition_rows_on(mbrs, half, host)
+        } else {
+            // Ablation: a single row holding everything.
+            match mbrs.iter().copied().reduce(Rect::hull) {
+                None => partition_rows(&[], half),
+                Some(all) => RowPartition::from_rows(vec![Row {
+                    y: all.y_range(),
+                    members: (0..mbrs.len()).collect(),
+                }]),
+            }
+        }
+    })
+}
+
 /// Builds the row partition over a scene's objects.
 pub(crate) fn partition_scene(
     scene: &LayerScene,
@@ -415,32 +413,9 @@ pub(crate) fn partition_scene(
     enabled: bool,
     profiler: &mut Profiler,
     host: &HostExecutor,
-) -> (Vec<Rect>, RowPartition) {
+) -> RowPartition {
     let mbrs: Vec<Rect> = scene.objects.iter().map(|o| o.mbr).collect();
-    let half = ((min + 1) / 2) as Coord;
-    let partition = profiler.time("partition", || {
-        if enabled {
-            partition_rows_on(&mbrs, half, host)
-        } else {
-            // Ablation: a single row holding everything.
-            let members: Vec<usize> = (0..mbrs.len()).collect();
-            if members.is_empty() {
-                partition_rows(&[], half)
-            } else {
-                let all = mbrs
-                    .iter()
-                    .copied()
-                    .reduce(|a, b| a.hull(b))
-                    .expect("non-empty");
-                let row = Row {
-                    y: all.y_range(),
-                    members,
-                };
-                RowPartition::from_rows(vec![row])
-            }
-        }
-    });
-    (mbrs, partition)
+    partition_objects(&mbrs, min, enabled, profiler, host)
 }
 
 /// Runs a same-layer spacing rule sequentially.
@@ -457,7 +432,7 @@ pub(crate) fn check_space_rule(
 }
 
 /// The spacing pipeline over an already-built (possibly windowed)
-/// scene: partition, sweepline, memoized per-cell checks, pair checks.
+/// scene: the row partition, then [`check_space_rows`].
 pub(crate) fn check_space_scene(
     ctx: &mut RunContext<'_>,
     rule_name: &str,
@@ -466,135 +441,30 @@ pub(crate) fn check_space_scene(
     sig: Option<u64>,
     out: &mut Vec<Violation>,
 ) {
-    let min = spec.min;
     let host = Arc::clone(&ctx.host);
-    let (mbrs, partition) = partition_scene(scene, min, ctx.options.partition, ctx.profiler, &host);
+    let partition = partition_scene(scene, spec.min, ctx.options.partition, ctx.profiler, &host);
     ctx.stats.rows += partition.len();
-
-    let half = ((min + 1) / 2) as Coord;
-    if !host.is_serial() {
-        check_space_scene_rows(
-            ctx, &host, rule_name, scene, spec, sig, &mbrs, &partition, out,
-        );
-        return;
-    }
-    let mut memo: HashMap<CellId, Arc<Vec<LocalViolation>>> = HashMap::new();
-    let mut local_hits: Vec<LocalViolation> = Vec::new();
-    let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
-
-    for row in &partition {
-        // Sweepline over the row's inflated object MBRs.
-        let members = &row.members;
-        let inflated: Vec<Rect> = members.iter().map(|&m| mbrs[m].inflate(half)).collect();
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        match ctx.options.pair_index {
-            crate::engine::PairIndex::Sweepline => ctx.profiler.time("sweepline", || {
-                sweep_overlaps(&inflated, |a, b| pairs.push((members[a], members[b])));
-            }),
-            crate::engine::PairIndex::RTree => ctx.profiler.time("sweepline", || {
-                let tree = odrc_infra::RTree::bulk_load(&inflated);
-                for (a, &ra) in inflated.iter().enumerate() {
-                    tree.query_into(ra, &mut |b| {
-                        if a < b {
-                            pairs.push((members[a], members[b]));
-                        }
-                    });
-                }
-            }),
-        }
-        ctx.stats.candidate_pairs += pairs.len();
-
-        // Intra-object checks, memoized per cell definition.
-        ctx.profiler.time("edge-check", || {
-            for &m in members {
-                let obj = &scene.objects[m];
-                match obj.source {
-                    SceneSource::Cell { cell, transform } => {
-                        let arc = if ctx.options.pruning {
-                            if let Some(hit) = memo.get(&cell) {
-                                ctx.stats.checks_reused += 1;
-                                Arc::clone(hit)
-                            } else {
-                                // Cross-run reuse: the flattened-subtree
-                                // verdict is keyed by the subtree hash.
-                                let mut hit = None;
-                                if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
-                                    let key = handle.keys.subtree[cell.index()];
-                                    hit = handle.cache.get(sig, key);
-                                }
-                                let arc = match hit {
-                                    Some(arc) => {
-                                        ctx.stats.checks_reused += 1;
-                                        arc
-                                    }
-                                    None => {
-                                        ctx.stats.checks_computed += 1;
-                                        let arc =
-                                            Arc::new(cell_internal_space(scene, cell, spec, half));
-                                        if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut())
-                                        {
-                                            let key = handle.keys.subtree[cell.index()];
-                                            handle.cache.insert(sig, key, Arc::clone(&arc));
-                                        }
-                                        arc
-                                    }
-                                };
-                                memo.insert(cell, Arc::clone(&arc));
-                                arc
-                            }
-                        } else {
-                            ctx.stats.checks_computed += 1;
-                            Arc::new(cell_internal_space(scene, cell, spec, half))
-                        };
-                        local_hits.extend(arc.iter().map(|v| v.instantiate(&transform)));
-                    }
-                    SceneSource::TopPolygon { index } => {
-                        notch_space_violations(scene.top_polygon(index), spec, &mut local_hits);
-                    }
-                }
-            }
-
-            // Cross-object checks over candidate pairs.
-            for &(a, b) in &pairs {
-                cross_space(
-                    scene,
-                    &scene.objects[a],
-                    &scene.objects[b],
-                    spec,
-                    &mut buf_a,
-                    &mut buf_b,
-                    &mut local_hits,
-                );
-            }
-        });
-    }
-
-    out.extend(local_hits.into_iter().map(|v| Violation {
-        rule: rule_name.to_owned(),
-        kind: v.kind,
-        location: v.location,
-        measured: v.measured,
-    }));
+    check_space_rows(ctx, rule_name, scene, partition.rows(), spec, sig, out);
 }
 
-/// The row-parallel spacing pipeline: the per-cell memo is precomputed
-/// on the calling thread (so §IV-C bookkeeping — cache consults, reuse
-/// counters — stays deterministic and identical to the serial order),
-/// then independent partition rows fan out on the executor and merge in
-/// partition order. The violation list is byte-identical to the serial
-/// loop for any thread count.
-#[allow(clippy::too_many_arguments)]
-fn check_space_scene_rows(
+/// The spacing row kernel: sweepline, memoized per-cell checks and
+/// per-pair edge checks over independent partition rows whose members
+/// index `scene.objects`. The per-cell memo is resolved on the calling
+/// thread first (so §IV-C bookkeeping — cache consults, reuse counters —
+/// is deterministic), then the rows fan out on the host executor and
+/// merge in row order: the violation list is identical for any thread
+/// count. Out-of-core shards call it with their rows translated to
+/// shard-scene indices.
+pub(crate) fn check_space_rows(
     ctx: &mut RunContext<'_>,
-    host: &HostExecutor,
     rule_name: &str,
     scene: &LayerScene,
+    rows: &[Row],
     spec: SpaceSpec,
     sig: Option<u64>,
-    mbrs: &[Rect],
-    partition: &RowPartition,
     out: &mut Vec<Violation>,
 ) {
+    let host = Arc::clone(&ctx.host);
     let half = ((spec.min + 1) / 2) as Coord;
     let pruning = ctx.options.pruning;
 
@@ -606,7 +476,7 @@ fn check_space_scene_rows(
         let mut order: Vec<CellId> = Vec::new();
         let mut seen: std::collections::HashSet<CellId> = Default::default();
         let mut occurrences = 0usize;
-        for row in partition {
+        for row in rows {
             for &m in &row.members {
                 if let SceneSource::Cell { cell, .. } = scene.objects[m].source {
                     occurrences += 1;
@@ -632,10 +502,12 @@ fn check_space_scene_rows(
                 None => missing.push(cell),
             }
         }
+        let start = std::time::Instant::now();
         let missing_ref = &missing;
         let computed = host.run("edge-check", missing.len(), |i| {
             Arc::new(cell_internal_space(scene, missing_ref[i], spec, half))
         });
+        ctx.profiler.add("edge-check", start.elapsed());
         for (&cell, arc) in missing.iter().zip(computed) {
             ctx.stats.checks_computed += 1;
             if let (Some(sig), Some(handle)) = (sig, ctx.cache.as_mut()) {
@@ -656,12 +528,13 @@ fn check_space_scene_rows(
         check: std::time::Duration,
     }
     let pair_index = ctx.options.pair_index;
-    let rows: Vec<&Row> = partition.iter().collect();
-    let rows_ref = &rows;
     let memo_ref = &memo;
     let results: Vec<RowOutput> = host.run("edge-check", rows.len(), |ri| {
-        let members = &rows_ref[ri].members;
-        let inflated: Vec<Rect> = members.iter().map(|&m| mbrs[m].inflate(half)).collect();
+        let members = &rows[ri].members;
+        let inflated: Vec<Rect> = members
+            .iter()
+            .map(|&m| scene.objects[m].mbr.inflate(half))
+            .collect();
         let mut pairs: Vec<(usize, usize)> = Vec::new();
         let sweep_start = std::time::Instant::now();
         match pair_index {
@@ -723,7 +596,7 @@ fn check_space_scene_rows(
         }
     });
 
-    // Phase 3: deterministic merge in partition order.
+    // Phase 3: deterministic merge in row order.
     for r in results {
         ctx.stats.candidate_pairs += r.pairs;
         ctx.stats.checks_computed += r.computed;
@@ -770,8 +643,8 @@ pub(crate) fn cross_space(
     a: &SceneObject,
     b: &SceneObject,
     spec: SpaceSpec,
-    buf_a: &mut Vec<odrc_geometry::Polygon>,
-    buf_b: &mut Vec<odrc_geometry::Polygon>,
+    buf_a: &mut Vec<Polygon>,
+    buf_b: &mut Vec<Polygon>,
     out: &mut Vec<LocalViolation>,
 ) {
     let m = spec.min as Coord;
@@ -794,21 +667,16 @@ pub(crate) fn cross_space(
     }
 }
 
-/// Gathers the enclosure work list: every flat inner shape's MBR paired
-/// with its candidate outer polygons.
-///
-/// Candidate discovery is hierarchical and output-sensitive: a single
-/// sweepline runs over the inner MBRs (inflated by the rule margin) and
-/// the *object-level* layer MBRs of the outer scene; only objects whose
-/// layer MBR overlaps an inner shape get their geometry instantiated,
-/// and only the polygons inside the inner shape's window.
+/// The enclosure work list of an in-core rule: the inner scene (built
+/// fresh under a delta window) and the run's memoized outer scene,
+/// gathered by [`gather_enclosure`].
 pub(crate) fn enclosure_work(
     ctx: &mut RunContext<'_>,
     inner: Layer,
     outer: Layer,
     min: i64,
     window: Option<DirtyWindow<'_>>,
-) -> Vec<(odrc_geometry::Polygon, Vec<odrc_geometry::Polygon>)> {
+) -> Vec<(Polygon, Vec<Polygon>)> {
     let layout = ctx.layout;
     // Under a delta window only the inner shapes near the dirt are
     // re-measured; the outer scene stays complete so every retained
@@ -823,8 +691,27 @@ pub(crate) fn enclosure_work(
         ),
     };
     let outer_scene = ctx.layer_scene(outer);
+    gather_enclosure(ctx, &inner_scene, &outer_scene, min, window)
+}
+
+/// Gathers an enclosure work list over two given scenes: every flat
+/// inner shape's MBR (only those hitting `window`, when given) paired
+/// with its candidate outer polygons.
+///
+/// Candidate discovery is hierarchical and output-sensitive: a single
+/// sweepline runs over the inner MBRs (inflated by the rule margin) and
+/// the *object-level* layer MBRs of the outer scene; only objects whose
+/// layer MBR overlaps an inner shape get their geometry instantiated,
+/// and only the polygons inside the inner shape's window.
+pub(crate) fn gather_enclosure(
+    ctx: &mut RunContext<'_>,
+    inner_scene: &LayerScene,
+    outer_scene: &LayerScene,
+    min: i64,
+    window: Option<DirtyWindow<'_>>,
+) -> Vec<(Polygon, Vec<Polygon>)> {
     let m = min as Coord;
-    let mut inner_polys: Vec<odrc_geometry::Polygon> = Vec::new();
+    let mut inner_polys: Vec<Polygon> = Vec::new();
     for obj in &inner_scene.objects {
         inner_scene.object_polygons_into(obj, &mut inner_polys);
     }
@@ -844,142 +731,102 @@ pub(crate) fn enclosure_work(
             }
         });
     });
-    if ctx.host.is_serial() {
-        inner_polys
-            .into_iter()
-            .zip(object_hits)
-            .map(|(poly, objs)| {
-                let window = poly.mbr().inflate(m);
-                let mut candidates = Vec::new();
-                for oi in objs {
-                    outer_scene.object_polygons_in_into(
-                        &outer_scene.objects[oi],
-                        window,
-                        &mut candidates,
-                    );
-                }
-                (poly, candidates)
-            })
-            .collect()
-    } else {
-        // Candidate gathering is independent per inner shape: fan it
-        // out by index and zip back in order.
-        let host = Arc::clone(&ctx.host);
-        let inner_ref = &inner_polys;
-        let hits_ref = &object_hits;
-        let outer_ref: &LayerScene = &outer_scene;
-        let candidates = host.run("enclosure-gather", inner_polys.len(), |i| {
-            let window = inner_ref[i].mbr().inflate(m);
-            let mut candidates = Vec::new();
-            for &oi in &hits_ref[i] {
-                outer_ref.object_polygons_in_into(&outer_ref.objects[oi], window, &mut candidates);
-            }
-            candidates
-        });
-        inner_polys.into_iter().zip(candidates).collect()
+    // Candidate gathering is independent per inner shape: fan it out by
+    // index and zip back in order.
+    let inner_ref = &inner_polys;
+    let hits_ref = &object_hits;
+    let candidates = ctx.host.run("enclosure-gather", inner_polys.len(), |i| {
+        let window = inner_ref[i].mbr().inflate(m);
+        let mut candidates = Vec::new();
+        for &oi in &hits_ref[i] {
+            outer_scene.object_polygons_in_into(&outer_scene.objects[oi], window, &mut candidates);
+        }
+        candidates
+    });
+    inner_polys.into_iter().zip(candidates).collect()
+}
+
+/// The candidate-gather distance of an enclosure-style rule: the margin
+/// for enclosure; zero for overlap, where any touching outer shape
+/// counts.
+pub(crate) fn gather_distance(kind: ViolationKind, min: i64) -> i64 {
+    match kind {
+        ViolationKind::Enclosure => min,
+        _ => 0,
     }
 }
 
-/// Runs an enclosure rule sequentially: every flat inner shape must be
-/// enclosed by some outer-layer polygon with the minimum margin.
-pub(crate) fn check_enclosure_rule(
+/// The per-shape measure of an enclosure-style rule: the enclosure
+/// margin, or the shared (boolean AND) area for overlap rules. One body
+/// for the host loop and the device kernel.
+pub(crate) fn pairs_measure(
+    kind: ViolationKind,
+    min: i64,
+) -> impl Fn(&Polygon, &[Polygon]) -> i64 + Send + Sync + Clone + 'static {
+    move |poly, candidates| match kind {
+        ViolationKind::Enclosure => {
+            let refs: Vec<&Polygon> = candidates.iter().collect();
+            enclosure_margin(poly.mbr(), &refs, min)
+        }
+        _ => {
+            let inner_region = Region::from_polygons([poly]);
+            let outer_region = Region::from_polygons(candidates.iter());
+            inner_region.intersection(&outer_region).area()
+        }
+    }
+}
+
+/// Measures a gathered work list on the host and reports every inner
+/// shape whose measure falls below `min`.
+pub(crate) fn measure_pairs(
     ctx: &mut RunContext<'_>,
     rule_name: &str,
+    kind: ViolationKind,
+    min: i64,
+    work: &[(Polygon, Vec<Polygon>)],
+    out: &mut Vec<Violation>,
+) {
+    ctx.stats.checks_computed += work.len();
+    let phase = match kind {
+        ViolationKind::Enclosure => "enclosure-check",
+        _ => "overlap-check",
+    };
+    let measure = pairs_measure(kind, min);
+    let start = std::time::Instant::now();
+    let measured = ctx.host.run(phase, work.len(), |i| {
+        let (poly, candidates) = &work[i];
+        measure(poly, candidates)
+    });
+    ctx.profiler.add(phase, start.elapsed());
+    out.extend(
+        work.iter()
+            .zip(measured)
+            .filter(|&(_, measured)| measured < min)
+            .map(|((poly, _), measured)| Violation {
+                rule: rule_name.to_owned(),
+                kind,
+                location: poly.mbr(),
+                measured,
+            }),
+    );
+}
+
+/// Runs an enclosure rule (every flat inner shape enclosed by some
+/// outer polygon with margin `min`) or a minimum-overlap-area rule (the
+/// boolean AND of every inner shape with the outer layer reaches area
+/// `min`, the "minimum overlapping area constraints" of §II)
+/// sequentially.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn check_pairs_rule(
+    ctx: &mut RunContext<'_>,
+    rule_name: &str,
+    kind: ViolationKind,
     inner: Layer,
     outer: Layer,
     min: i64,
     window: Option<DirtyWindow<'_>>,
     out: &mut Vec<Violation>,
 ) {
-    let work = enclosure_work(ctx, inner, outer, min, window);
-    ctx.stats.checks_computed += work.len();
-    let mut results = Vec::new();
-    if ctx.host.is_serial() {
-        ctx.profiler.time("enclosure-check", || {
-            for (poly, candidates) in &work {
-                let refs: Vec<&odrc_geometry::Polygon> = candidates.iter().collect();
-                let margin = enclosure_margin(poly.mbr(), &refs, min);
-                if margin < min {
-                    results.push(Violation {
-                        rule: rule_name.to_owned(),
-                        kind: ViolationKind::Enclosure,
-                        location: poly.mbr(),
-                        measured: margin,
-                    });
-                }
-            }
-        });
-    } else {
-        let host = Arc::clone(&ctx.host);
-        let start = std::time::Instant::now();
-        let work_ref = &work;
-        let measured = host.run("enclosure-check", work.len(), |i| {
-            let (poly, candidates) = &work_ref[i];
-            let refs: Vec<&odrc_geometry::Polygon> = candidates.iter().collect();
-            let margin = enclosure_margin(poly.mbr(), &refs, min);
-            (margin < min).then(|| Violation {
-                rule: rule_name.to_owned(),
-                kind: ViolationKind::Enclosure,
-                location: poly.mbr(),
-                measured: margin,
-            })
-        });
-        results.extend(measured.into_iter().flatten());
-        ctx.profiler.add("enclosure-check", start.elapsed());
-    }
-    out.extend(results);
-}
-
-/// Runs a minimum-overlap-area rule sequentially: the boolean AND of
-/// every inner shape with the outer layer's geometry must reach the
-/// minimum area ("minimum overlapping area constraints", §II).
-pub(crate) fn check_overlap_rule(
-    ctx: &mut RunContext<'_>,
-    rule_name: &str,
-    inner: Layer,
-    outer: Layer,
-    min_area: i64,
-    window: Option<DirtyWindow<'_>>,
-    out: &mut Vec<Violation>,
-) {
-    use odrc_infra::Region;
-    let work = enclosure_work(ctx, inner, outer, 0, window);
-    ctx.stats.checks_computed += work.len();
-    let mut results = Vec::new();
-    if ctx.host.is_serial() {
-        ctx.profiler.time("overlap-check", || {
-            for (poly, candidates) in &work {
-                let inner_region = Region::from_polygons([poly]);
-                let outer_region = Region::from_polygons(candidates.iter());
-                let shared = inner_region.intersection(&outer_region).area();
-                if shared < min_area {
-                    results.push(Violation {
-                        rule: rule_name.to_owned(),
-                        kind: ViolationKind::OverlapArea,
-                        location: poly.mbr(),
-                        measured: shared,
-                    });
-                }
-            }
-        });
-    } else {
-        let host = Arc::clone(&ctx.host);
-        let start = std::time::Instant::now();
-        let work_ref = &work;
-        let measured = host.run("overlap-check", work.len(), |i| {
-            let (poly, candidates) = &work_ref[i];
-            let inner_region = Region::from_polygons([poly]);
-            let outer_region = Region::from_polygons(candidates.iter());
-            let shared = inner_region.intersection(&outer_region).area();
-            (shared < min_area).then(|| Violation {
-                rule: rule_name.to_owned(),
-                kind: ViolationKind::OverlapArea,
-                location: poly.mbr(),
-                measured: shared,
-            })
-        });
-        results.extend(measured.into_iter().flatten());
-        ctx.profiler.add("overlap-check", start.elapsed());
-    }
-    out.extend(results);
+    let work = enclosure_work(ctx, inner, outer, gather_distance(kind, min), window);
+    measure_pairs(ctx, rule_name, kind, min, &work, out);
 }

@@ -30,21 +30,22 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use odrc_db::{CellId, Layer};
-use odrc_geometry::{Coord, Polygon, Rect};
-use odrc_infra::partition::{partition_rows, partition_rows_on, Row, RowPartition};
-use odrc_infra::sweep::sweep_overlaps;
+use odrc_db::Layer;
+use odrc_geometry::{Coord, Rect};
+use odrc_infra::partition::Row;
 use odrc_infra::CancelToken;
 use odrc_xpu::Device;
 
 use crate::cache::rule_signature;
 use crate::checkpoint::CheckpointJournal;
-use crate::checks::poly::{notch_space_violations, LocalViolation};
-use crate::checks::{enclosure_margin, SpaceSpec};
-use crate::engine::{EngineOptions, EngineStats, PairIndex};
+use crate::checks::SpaceSpec;
+use crate::engine::{EngineOptions, EngineStats};
 use crate::rules::{Rule, RuleKind};
-use crate::scene::{layer_object_mbrs, LayerScene, SceneSource};
-use crate::sequential::{cell_internal_space, cross_space, RunContext};
+use crate::scene::{layer_object_mbrs, LayerScene};
+use crate::sequential::{
+    check_space_rows, gather_distance, gather_enclosure, measure_pairs, partition_objects,
+    RunContext,
+};
 use crate::violation::{canonicalize, Violation, ViolationKind};
 
 /// Target shard count when [`EngineOptions::shard_rows`] is unset: the
@@ -104,10 +105,12 @@ pub(crate) struct ShardPlan {
 
 /// One shard: a contiguous group of partition rows.
 pub(crate) struct ShardSpec {
-    /// The member lists of the shard's rows (global object indices).
-    pub rows: Vec<Vec<usize>>,
-    /// Sorted union of the row members. Rows partition the object set,
-    /// so shard member lists are disjoint across shards.
+    /// The shard's rows, their members translated to indices into the
+    /// shard's member-subset scene.
+    pub rows: Vec<Row>,
+    /// Sorted union of the row members (global object indices). Rows
+    /// partition the object set, so shard member lists are disjoint
+    /// across shards.
     pub members: Vec<usize>,
 }
 
@@ -118,30 +121,8 @@ pub(crate) struct ShardSpec {
 /// records portable across crashes and workers.
 pub(crate) fn plan_shards(ctx: &mut RunContext<'_>, layer: Layer, min: i64) -> ShardPlan {
     let mbrs = layer_object_mbrs(ctx.layout, layer);
-    let half = ((min + 1) / 2) as Coord;
     let host = Arc::clone(&ctx.host);
-    let enabled = ctx.options.partition;
-    let partition = ctx.profiler.time("partition", || {
-        if enabled {
-            partition_rows_on(&mbrs, half, &host)
-        } else {
-            // Ablation: a single row holding everything (one shard).
-            let members: Vec<usize> = (0..mbrs.len()).collect();
-            if members.is_empty() {
-                partition_rows(&[], half)
-            } else {
-                let all = mbrs
-                    .iter()
-                    .copied()
-                    .reduce(|a, b| a.hull(b))
-                    .expect("non-empty");
-                RowPartition::from_rows(vec![Row {
-                    y: all.y_range(),
-                    members,
-                }])
-            }
-        }
-    });
+    let partition = partition_objects(&mbrs, min, ctx.options.partition, ctx.profiler, &host);
     ctx.stats.rows += partition.len();
     let rows = partition.rows();
     let per_shard = ctx
@@ -152,9 +133,22 @@ pub(crate) fn plan_shards(ctx: &mut RunContext<'_>, layer: Layer, min: i64) -> S
     let shards = rows
         .chunks(per_shard)
         .map(|chunk| {
-            let rows: Vec<Vec<usize>> = chunk.iter().map(|r| r.members.clone()).collect();
-            let mut members: Vec<usize> = rows.iter().flatten().copied().collect();
+            let mut members: Vec<usize> = chunk.iter().flat_map(|r| r.members.clone()).collect();
             members.sort_unstable();
+            // `members` is sorted and the subset scene keeps proto
+            // order, so the translation preserves each row's order.
+            let subset = |g: &usize| {
+                members
+                    .binary_search(g)
+                    .expect("row member is a shard member")
+            };
+            let rows = chunk
+                .iter()
+                .map(|r| Row {
+                    y: r.y,
+                    members: r.members.iter().map(subset).collect(),
+                })
+                .collect();
             ShardSpec { rows, members }
         })
         .collect();
@@ -328,95 +322,45 @@ fn run_shards(
             }
         }
         let mut buf: Vec<Violation> = Vec::new();
-        match &rule.kind {
+        let pairs = match rule.kind {
             RuleKind::Space {
                 layer,
                 min,
                 min_projection,
             } => {
-                let spec = SpaceSpec {
-                    min: *min,
-                    min_projection: *min_projection,
-                };
                 let key = SceneKey::Subset {
-                    layer: *layer,
-                    min: *min,
+                    layer,
+                    min,
                     shard: shard_id,
                 };
-                let (layer, members) = (*layer, &shard.members);
                 let scene = pool.get(key, device, ctx.stats, || {
-                    LayerScene::build_members_on(layout, layer, members, &host)
+                    LayerScene::build_members_on(layout, layer, &shard.members, &host)
                 });
-                let mut hits: Vec<LocalViolation> = Vec::new();
-                check_space_shard(
-                    ctx,
-                    &scene,
-                    members,
-                    &shard.rows,
-                    &plan.mbrs,
-                    spec,
-                    &mut hits,
-                );
-                buf.extend(hits.into_iter().map(|v| Violation {
-                    rule: rule.name.clone(),
-                    kind: v.kind,
-                    location: v.location,
-                    measured: v.measured,
-                }));
+                let spec = SpaceSpec {
+                    min,
+                    min_projection,
+                };
+                // Shards never consult the persistent result cache.
+                check_space_rows(ctx, &rule.name, &scene, &shard.rows, spec, None, &mut buf);
+                None
             }
             RuleKind::Enclosure { inner, outer, min } => {
-                let (inner_scene, outer_scene) = shard_scene_pair(
-                    pool, device, ctx.stats, &host, layout, plan, shard, shard_id, *inner, *outer,
-                    *min,
-                );
-                let work = enclosure_work_scenes(ctx, &inner_scene, &outer_scene, *min);
-                ctx.stats.checks_computed += work.len();
-                let min = *min;
-                ctx.profiler.time("enclosure-check", || {
-                    for (poly, candidates) in &work {
-                        let refs: Vec<&Polygon> = candidates.iter().collect();
-                        let margin = enclosure_margin(poly.mbr(), &refs, min);
-                        if margin < min {
-                            buf.push(Violation {
-                                rule: rule.name.clone(),
-                                kind: ViolationKind::Enclosure,
-                                location: poly.mbr(),
-                                measured: margin,
-                            });
-                        }
-                    }
-                });
+                Some((ViolationKind::Enclosure, inner, outer, min))
             }
             RuleKind::OverlapArea {
                 inner,
                 outer,
                 min_area,
-            } => {
-                use odrc_infra::Region;
-                let (inner_scene, outer_scene) = shard_scene_pair(
-                    pool, device, ctx.stats, &host, layout, plan, shard, shard_id, *inner, *outer,
-                    0,
-                );
-                let work = enclosure_work_scenes(ctx, &inner_scene, &outer_scene, 0);
-                ctx.stats.checks_computed += work.len();
-                let min_area = *min_area;
-                ctx.profiler.time("overlap-check", || {
-                    for (poly, candidates) in &work {
-                        let inner_region = Region::from_polygons([poly]);
-                        let outer_region = Region::from_polygons(candidates.iter());
-                        let shared = inner_region.intersection(&outer_region).area();
-                        if shared < min_area {
-                            buf.push(Violation {
-                                rule: rule.name.clone(),
-                                kind: ViolationKind::OverlapArea,
-                                location: poly.mbr(),
-                                measured: shared,
-                            });
-                        }
-                    }
-                });
-            }
+            } => Some((ViolationKind::OverlapArea, inner, outer, min_area)),
             _ => unreachable!("only inter-object rules shard"),
+        };
+        if let Some((kind, inner, outer, min)) = pairs {
+            let gather = gather_distance(kind, min);
+            let (inner_scene, outer_scene) = shard_scene_pair(
+                pool, device, ctx.stats, &host, layout, plan, shard, shard_id, inner, outer, gather,
+            );
+            let work = gather_enclosure(ctx, &inner_scene, &outer_scene, gather, None);
+            measure_pairs(ctx, &rule.name, kind, min, &work, &mut buf);
         }
         // Canonicalize per shard so the journaled record (and therefore
         // a resumed run) is byte-stable; the rule-level finalize
@@ -503,136 +447,4 @@ fn shard_scene_pair(
         },
     );
     (inner_scene, outer_scene)
-}
-
-/// The serial spacing pipeline over one shard: the shard's global rows
-/// replayed against its member-subset scene. Geometry, sweepline pairs,
-/// and edge checks are exactly the in-core serial loop's — only the
-/// object indices are translated from global (proto) to subset order —
-/// so the shard's violation multiset equals the in-core multiset of the
-/// same rows.
-fn check_space_shard(
-    ctx: &mut RunContext<'_>,
-    scene: &LayerScene,
-    members: &[usize],
-    rows: &[Vec<usize>],
-    mbrs: &[Rect],
-    spec: SpaceSpec,
-    out: &mut Vec<LocalViolation>,
-) {
-    let half = ((spec.min + 1) / 2) as Coord;
-    let pruning = ctx.options.pruning;
-    let pair_index = ctx.options.pair_index;
-    let mut memo: HashMap<CellId, Arc<Vec<LocalViolation>>> = HashMap::new();
-    let (mut buf_a, mut buf_b) = (Vec::new(), Vec::new());
-    let subset = |g: usize| {
-        members
-            .binary_search(&g)
-            .expect("row member is a shard member")
-    };
-    for row in rows {
-        let inflated: Vec<Rect> = row.iter().map(|&m| mbrs[m].inflate(half)).collect();
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        match pair_index {
-            PairIndex::Sweepline => ctx.profiler.time("sweepline", || {
-                sweep_overlaps(&inflated, |a, b| pairs.push((row[a], row[b])));
-            }),
-            PairIndex::RTree => ctx.profiler.time("sweepline", || {
-                let tree = odrc_infra::RTree::bulk_load(&inflated);
-                for (a, &ra) in inflated.iter().enumerate() {
-                    tree.query_into(ra, &mut |b| {
-                        if a < b {
-                            pairs.push((row[a], row[b]));
-                        }
-                    });
-                }
-            }),
-        }
-        ctx.stats.candidate_pairs += pairs.len();
-        ctx.profiler.time("edge-check", || {
-            for &g in row {
-                let obj = &scene.objects[subset(g)];
-                match obj.source {
-                    SceneSource::Cell { cell, transform } => {
-                        let arc = if pruning {
-                            if let Some(hit) = memo.get(&cell) {
-                                ctx.stats.checks_reused += 1;
-                                Arc::clone(hit)
-                            } else {
-                                ctx.stats.checks_computed += 1;
-                                let arc = Arc::new(cell_internal_space(scene, cell, spec, half));
-                                memo.insert(cell, Arc::clone(&arc));
-                                arc
-                            }
-                        } else {
-                            ctx.stats.checks_computed += 1;
-                            Arc::new(cell_internal_space(scene, cell, spec, half))
-                        };
-                        out.extend(arc.iter().map(|v| v.instantiate(&transform)));
-                    }
-                    SceneSource::TopPolygon { index } => {
-                        notch_space_violations(scene.top_polygon(index), spec, out);
-                    }
-                }
-            }
-            for &(a, b) in &pairs {
-                cross_space(
-                    scene,
-                    &scene.objects[subset(a)],
-                    &scene.objects[subset(b)],
-                    spec,
-                    &mut buf_a,
-                    &mut buf_b,
-                    out,
-                );
-            }
-        });
-    }
-}
-
-/// The enclosure work list over provided scenes — the serial gather of
-/// [`crate::sequential::enclosure_work`] with the shard's subset inner
-/// scene and windowed outer scene supplied instead of pulled from the
-/// run memo. The per-poly candidate predicate (MBR overlap with the
-/// margin-inflated inner extent) is identical, so candidate sets match
-/// the in-core gather exactly.
-fn enclosure_work_scenes(
-    ctx: &mut RunContext<'_>,
-    inner_scene: &LayerScene,
-    outer_scene: &LayerScene,
-    min: i64,
-) -> Vec<(Polygon, Vec<Polygon>)> {
-    let m = min as Coord;
-    let mut inner_polys: Vec<Polygon> = Vec::new();
-    for obj in &inner_scene.objects {
-        inner_scene.object_polygons_into(obj, &mut inner_polys);
-    }
-    let n_inner = inner_polys.len();
-    let mut rects: Vec<Rect> = inner_polys.iter().map(|p| p.mbr().inflate(m)).collect();
-    rects.extend(outer_scene.objects.iter().map(|o| o.mbr));
-    let mut object_hits: Vec<Vec<usize>> = vec![Vec::new(); n_inner];
-    ctx.profiler.time("sweepline", || {
-        sweep_overlaps(&rects, |a, b| {
-            let (lo, hi) = (a.min(b), a.max(b));
-            if lo < n_inner && hi >= n_inner {
-                object_hits[lo].push(hi - n_inner);
-            }
-        });
-    });
-    inner_polys
-        .into_iter()
-        .zip(object_hits)
-        .map(|(poly, objs)| {
-            let window = poly.mbr().inflate(m);
-            let mut candidates = Vec::new();
-            for oi in objs {
-                outer_scene.object_polygons_in_into(
-                    &outer_scene.objects[oi],
-                    window,
-                    &mut candidates,
-                );
-            }
-            (poly, candidates)
-        })
-        .collect()
 }

@@ -99,7 +99,7 @@ pub fn canonicalize_on(
     violations: Vec<Violation>,
 ) -> Vec<Violation> {
     const CHUNK: usize = 4096;
-    if host.is_serial() || violations.len() <= CHUNK {
+    if violations.len() <= CHUNK {
         return canonicalize(violations);
     }
     let n = violations.len();

@@ -1,16 +1,16 @@
 //! Dispatch-layer equivalence tests.
 //!
-//! PR 9 rebuilt the launch path — persistent pooled workers instead of
-//! per-launch scoped threads, fused batched enqueue instead of
-//! launch-at-a-time, and recorded launch graphs replayed across rules.
-//! None of that may change *what* the engine reports: every variant
-//! below must produce byte-identical canonical violation sets against
-//! the plain sequential baseline, across engine modes, planner on/off,
-//! host thread counts, and 25 seeded fault schedules. Per-stream
+//! The launch path runs on persistent pooled workers, fuses each rule's
+//! per-row commands into batched stream dispatches, and replays recorded
+//! launch graphs across rules. None of that may change *what* the
+//! engine reports: every variant below must produce byte-identical
+//! canonical violation sets against the plain sequential baseline,
+//! across engine modes, planner on/off, host thread counts, pooled vs
+//! scoped dispatch, and 25 seeded fault schedules. Per-stream
 //! fault-injection ordinals are part of the contract — a fused batch
-//! ticks the same alloc/transfer/launch ordinals as its unfused
-//! expansion (pinned in the xpu stream tests) — but run-level totals
-//! are scheduling-dependent, so here only the reported result is
+//! ticks the same alloc/transfer/launch ordinals as the direct stream
+//! calls it packs (pinned in the xpu stream tests) — but run-level
+//! totals are scheduling-dependent, so here only the reported result is
 //! asserted.
 
 use odrc::{rule, Engine, EngineOptions, Mode, RuleDeck};
@@ -51,19 +51,17 @@ fn shared_deck() -> RuleDeck {
     ])
 }
 
-fn options(planner: bool, host_threads: usize, fusion: bool, launch_graph: bool) -> EngineOptions {
+fn options(planner: bool, host_threads: usize) -> EngineOptions {
     EngineOptions {
         planner,
         host_threads: Some(host_threads),
-        fusion,
-        launch_graph,
         retry_backoff_ms: 0,
         ..EngineOptions::default()
     }
 }
 
-/// The full variant matrix: modes × planner × host threads {1,2,8} ×
-/// {fusion, launch graph} on/off, all against the plain sequential
+/// The full variant matrix: modes × planner (which gates launch-graph
+/// replay) × host threads {1,2,8}, all against the plain sequential
 /// baseline.
 #[test]
 fn dispatch_variants_are_byte_identical() {
@@ -74,24 +72,19 @@ fn dispatch_variants_are_byte_identical() {
         for mode in [Mode::Sequential, Mode::Parallel] {
             for planner in [false, true] {
                 for host_threads in [1usize, 2, 8] {
-                    for (fusion, launch_graph) in
-                        [(true, true), (false, true), (true, false), (false, false)]
-                    {
-                        let engine = match mode {
-                            Mode::Sequential => Engine::sequential(),
-                            Mode::Parallel => Engine::parallel_on(Device::new(3)),
-                        };
-                        let got = engine
-                            .with_options(options(planner, host_threads, fusion, launch_graph))
-                            .check(&layout, &deck)
-                            .violations;
-                        assert_eq!(
-                            got, baseline,
-                            "design {design_seed} mode {mode:?} planner {planner} \
-                             host_threads {host_threads} fusion {fusion} \
-                             launch_graph {launch_graph} diverged"
-                        );
-                    }
+                    let engine = match mode {
+                        Mode::Sequential => Engine::sequential(),
+                        Mode::Parallel => Engine::parallel_on(Device::new(3)),
+                    };
+                    let got = engine
+                        .with_options(options(planner, host_threads))
+                        .check(&layout, &deck)
+                        .violations;
+                    assert_eq!(
+                        got, baseline,
+                        "design {design_seed} mode {mode:?} planner {planner} \
+                         host_threads {host_threads} diverged"
+                    );
                 }
             }
         }
@@ -106,12 +99,12 @@ fn pooled_and_scoped_dispatch_agree() {
     let deck = shared_deck();
     for planner in [false, true] {
         let pooled = Engine::parallel_on(Device::new(3))
-            .with_options(options(planner, 2, true, true))
+            .with_options(options(planner, 2))
             .check(&layout, &deck);
         let device = Device::new(3);
         device.set_dispatch_mode(DispatchMode::Scoped);
         let scoped = Engine::parallel_on(device)
-            .with_options(options(planner, 2, true, true))
+            .with_options(options(planner, 2))
             .check(&layout, &deck);
         assert_eq!(
             pooled.violations, scoped.violations,
@@ -123,7 +116,7 @@ fn pooled_and_scoped_dispatch_agree() {
 /// Under 25 seeded fault schedules, every dispatch variant reports the
 /// clean baseline, with degradation accounted iff faults actually
 /// fired. (The *per-stream* guarantee that a fused batch ticks the
-/// same fault ordinals as its unfused expansion is pinned by the xpu
+/// same fault ordinals as direct stream calls is pinned by the xpu
 /// stream tests; the *total* fired across a run is not comparable
 /// between variants, because concurrent streams race for the
 /// device-global ordinal counter — only the reported result is
@@ -134,48 +127,45 @@ fn fault_seeds_agree_across_dispatch_variants() {
     let deck = shared_deck();
     let clean = Engine::sequential().check(&layout, &deck).violations;
     for fault_seed in 0u64..25 {
-        for (fusion, dispatch, launch_graph) in [
-            (false, DispatchMode::Pooled, true),
-            (true, DispatchMode::Pooled, true),
-            (false, DispatchMode::Scoped, true),
-            (true, DispatchMode::Scoped, true),
-            (true, DispatchMode::Pooled, false),
+        for (dispatch, planner) in [
+            (DispatchMode::Pooled, true),
+            (DispatchMode::Scoped, true),
+            (DispatchMode::Pooled, false),
         ] {
             let device = Device::new(3);
             device.set_dispatch_mode(dispatch);
             device.set_fault_plan(Some(FaultPlan::from_seed(fault_seed, 6)));
             let report = Engine::parallel_on(device.clone())
-                .with_options(options(true, 2, fusion, launch_graph))
+                .with_options(options(planner, 2))
                 .check(&layout, &deck);
             assert_eq!(
                 report.violations, clean,
-                "seed {fault_seed} fusion {fusion} dispatch {dispatch:?} \
-                 launch_graph {launch_graph} changed the results"
+                "seed {fault_seed} dispatch {dispatch:?} planner {planner} \
+                 changed the results"
             );
             assert_eq!(
                 report.stats.degraded(),
                 device.faults_injected() > 0,
-                "seed {fault_seed} fusion {fusion} dispatch {dispatch:?} \
-                 launch_graph {launch_graph}: degradation must be \
-                 reported iff faults fired"
+                "seed {fault_seed} dispatch {dispatch:?} planner {planner}: \
+                 degradation must be reported iff faults fired"
             );
         }
     }
 }
 
-/// The new counters surface through `EngineStats`: fused launches in
-/// any fused parallel run, and graph replays whenever two rules share a
-/// row set with the planner and launch graphs on.
+/// The dispatch counters surface through `EngineStats`: fused launches
+/// in any parallel run, and graph replays whenever two rules share a row
+/// set with the planner on.
 #[test]
 fn dispatch_counters_are_reported() {
     let layout = generate_layout(&DesignSpec::tiny(5));
     let deck = shared_deck();
     let fused = Engine::parallel_on(Device::new(3))
-        .with_options(options(true, 1, true, true))
+        .with_options(options(true, 1))
         .check(&layout, &deck);
     assert!(
         fused.stats.launches_fused > 0,
-        "fused parallel run must count fused launches"
+        "a parallel run must count fused launches"
     );
     assert!(
         fused.stats.graph_replays > 0,
@@ -183,14 +173,8 @@ fn dispatch_counters_are_reported() {
          must replay the recorded graph"
     );
 
-    let unfused = Engine::parallel_on(Device::new(3))
-        .with_options(options(true, 1, false, true))
-        .check(&layout, &deck);
-    assert_eq!(unfused.stats.launches_fused, 0, "fusion off counts none");
-    assert_eq!(unfused.violations, fused.violations);
-
     let no_graph = Engine::parallel_on(Device::new(3))
-        .with_options(options(true, 1, true, false))
+        .with_options(options(false, 1))
         .check(&layout, &deck);
     assert_eq!(no_graph.stats.graph_replays, 0, "replay gated off");
     assert_eq!(no_graph.violations, fused.violations);

@@ -108,24 +108,27 @@ fn per_rule_shards(layout: &odrc_db::Layout, deck: &RuleDeck, shard_rows: usize)
 }
 
 /// Byte-identity of a budgeted sharded run against the in-core run,
-/// for any (budget, shard size, mode, pruning) combination — with the
-/// shard units actually exercised.
+/// for any (budget, shard size, mode, pruning, host threads)
+/// combination — with the shard units actually exercised.
 fn equivalence_case(
     seed: u64,
     budget: Option<u64>,
     shard_rows: usize,
     mode: Mode,
     pruning: bool,
+    host_threads: usize,
 ) -> Result<(), String> {
     let layout = generate_layout(&DesignSpec::tiny(seed));
     let base = baseline(mode, &layout);
     let mut options = out_of_core_options(budget, shard_rows);
     options.pruning = pruning;
+    options.host_threads = Some(host_threads);
     let report = engine(mode, options).check(&layout, &deck());
     if report.violations != base {
         return Err(format!(
             "sharded run diverged: {} vs {} violations (seed {seed}, budget {budget:?}, \
-             shard_rows {shard_rows}, mode {mode:?}, pruning {pruning})",
+             shard_rows {shard_rows}, mode {mode:?}, pruning {pruning}, \
+             host_threads {host_threads})",
             report.violations.len(),
             base.len()
         ));
@@ -269,10 +272,11 @@ proptest! {
         shard_rows in 1usize..5,
         parallel in proptest::bool::ANY,
         pruning in proptest::bool::ANY,
+        host_threads in 1usize..3,
     ) {
         let budget = [None, Some(16 << 10), Some(4 << 20)][budget_class];
         let mode = if parallel { Mode::Parallel } else { Mode::Sequential };
-        if let Err(msg) = equivalence_case(seed, budget, shard_rows, mode, pruning) {
+        if let Err(msg) = equivalence_case(seed, budget, shard_rows, mode, pruning, host_threads) {
             prop_assert!(false, "{}", msg);
         }
     }

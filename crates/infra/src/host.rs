@@ -356,8 +356,7 @@ impl HostExecutor {
         self.threads
     }
 
-    /// `true` when this executor never spawns (one thread): callers can
-    /// keep their exact single-threaded code path.
+    /// `true` when this executor never spawns (one thread).
     pub fn is_serial(&self) -> bool {
         self.threads <= 1
     }

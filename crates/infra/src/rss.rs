@@ -68,6 +68,9 @@ mod tests {
         for i in (0..v.len()).step_by(4096) {
             v[i] = 1;
         }
+        // Nothing else reads the buffer: keep the optimizer from
+        // deleting the allocation and its page touches.
+        std::hint::black_box(&mut v);
         let after = peak_rss_bytes().expect("procfs available");
         assert!(after >= before);
         assert!(

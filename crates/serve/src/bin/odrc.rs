@@ -5,7 +5,7 @@
 //!      [--cache <dir>] [--stats-json <file>] [--report out.csv]
 //!      [--markers out.gds] [--device-budget BYTES] [--fault-seed N]
 //!      [--host-threads N] [--deadline SECS] [--checkpoint-dir <dir>]
-//!      [--resume <dir>] [--watchdog-ms N] [--no-fusion] [--no-launch-graph]
+//!      [--resume <dir>] [--watchdog-ms N]
 //! odrc diff <old.gds> <new.gds> --rules <deck.rules> [--parallel]
 //!      [--cache <dir>] [--max-print N] [--host-threads N]
 //! odrc serve [--addr HOST:PORT] [--workers N] [--host-threads N]
@@ -112,8 +112,6 @@ struct Args {
     checkpoint_dir: Option<String>,
     resume: bool,
     watchdog_ms: Option<u64>,
-    no_fusion: bool,
-    no_launch_graph: bool,
     memory_budget: Option<u64>,
     shard_rows: Option<usize>,
     out_of_core: bool,
@@ -138,7 +136,6 @@ fn usage() -> ! {
          [--cache dir] [--stats-json out.json] [--report out.csv] [--markers out.gds] \
          [--device-budget BYTES] [--fault-seed N] [--host-threads N] [--deadline SECS] \
          [--checkpoint-dir dir] [--resume dir] [--watchdog-ms N] \
-         [--no-fusion] [--no-launch-graph] \
          [--out-of-core] [--memory-budget BYTES] [--shard-rows N] [--shard-workers N]\n\
          \u{20}      odrc diff <old.gds> <new.gds> --rules <deck.rules> [--parallel] \
          [--cache dir] [--max-print N] [--host-threads N]\n\
@@ -169,8 +166,6 @@ fn parse_args() -> Args {
     let mut checkpoint_dir = None;
     let mut resume = false;
     let mut watchdog_ms = None;
-    let mut no_fusion = false;
-    let mut no_launch_graph = false;
     let mut memory_budget = None;
     let mut shard_rows = None;
     let mut out_of_core = false;
@@ -227,14 +222,6 @@ fn parse_args() -> Args {
                 }
                 max_print = argv[i + 1].parse().unwrap_or_else(|_| usage());
                 i += 2;
-            }
-            "--no-fusion" => {
-                no_fusion = true;
-                i += 1;
-            }
-            "--no-launch-graph" => {
-                no_launch_graph = true;
-                i += 1;
             }
             "--fault-seed" => {
                 if i + 1 >= argv.len() {
@@ -387,8 +374,6 @@ fn parse_args() -> Args {
         checkpoint_dir,
         resume,
         watchdog_ms,
-        no_fusion,
-        no_launch_graph,
         memory_budget,
         shard_rows,
         out_of_core,
@@ -954,8 +939,6 @@ fn run(args: &Args) -> Result<Outcome, Box<dyn std::error::Error>> {
 
     let options = odrc::EngineOptions {
         host_threads: args.host_threads,
-        fusion: !args.no_fusion,
-        launch_graph: !args.no_launch_graph,
         memory_budget: args.memory_budget,
         out_of_core: args.out_of_core,
         shard_rows: args.shard_rows,

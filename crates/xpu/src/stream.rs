@@ -714,21 +714,19 @@ impl Stream {
         self.submit(wait_event_cmd(event));
     }
 
-    /// Opens a batched enqueue scope on this stream. With `fused =
-    /// true`, commands pushed into the batch are packed into a single
-    /// [`Cmd::Fused`] delivered to the worker in one send (one wake)
-    /// when the batch flushes; with `fused = false` the batch is a pure
-    /// passthrough submitting each command immediately, byte-identical
-    /// to calling the stream methods directly — the unfused ablation.
+    /// Opens a batched enqueue scope on this stream: commands pushed
+    /// into the batch are packed into a single [`Cmd::Fused`] delivered
+    /// to the worker in one send (one wake) when the batch flushes.
+    /// Results and fault ordinals are identical to calling the stream
+    /// methods directly.
     ///
     /// Dropping the batch flushes it, so early error returns leave the
-    /// queue in the same state an unfused caller would have (commands
+    /// queue in the same state a direct caller would have (commands
     /// built before the error are already committed to execute).
-    pub fn batch(&self, fused: bool) -> LaunchBatch<'_> {
+    pub fn batch(&self) -> LaunchBatch<'_> {
         LaunchBatch {
             stream: self,
             cmds: Vec::new(),
-            fused,
             launches: 0,
         }
     }
@@ -795,7 +793,7 @@ fn wait_event_cmd(event: &Event) -> Cmd {
 /// (sticky error, fault ordinal, budget reservation) runs at the call,
 /// on the caller thread, exactly as an immediate enqueue would — only
 /// the handoff to the worker is deferred and packed. Flushing (or
-/// dropping) a fused batch with two or more commands submits one
+/// dropping) a batch with two or more commands submits one
 /// [`Cmd::Fused`] and credits the contained kernel launches to
 /// [`DeviceStats::launches_fused`].
 ///
@@ -803,7 +801,6 @@ fn wait_event_cmd(event: &Event) -> Cmd {
 pub struct LaunchBatch<'s> {
     stream: &'s Stream,
     cmds: Vec<Cmd>,
-    fused: bool,
     launches: u64,
 }
 
@@ -814,11 +811,7 @@ impl LaunchBatch<'_> {
     }
 
     fn push(&mut self, cmd: Cmd) {
-        if self.fused {
-            self.cmds.push(cmd);
-        } else {
-            self.stream.submit(cmd);
-        }
+        self.cmds.push(cmd);
     }
 
     /// Batched [`Stream::try_alloc`].
@@ -1152,28 +1145,35 @@ mod tests {
 
     #[test]
     fn fused_batch_matches_unfused_results() {
+        // The same upload/alloc/launch/download sequence through a
+        // batch and through direct stream calls.
         let run = |fused: bool| -> (Vec<i64>, u64) {
             let device = Device::new(2);
             let stream = device.stream();
-            let mut batch = stream.batch(fused);
-            let input = batch
-                .try_upload_shared(Arc::new((0..300i64).collect::<Vec<_>>()))
-                .unwrap();
-            let out = batch.try_alloc::<i64>(300).unwrap();
-            batch
-                .try_launch_tiles(
-                    LaunchConfig::for_threads(300),
-                    &out,
-                    move |range, tile: &mut [i64]| {
-                        let inp = input.read();
-                        for (i, slot) in range.zip(tile.iter_mut()) {
-                            *slot = inp[i] * 3;
-                        }
-                    },
-                )
-                .unwrap();
-            let pending = batch.try_download(&out).unwrap();
-            batch.commit();
+            let data = Arc::new((0..300i64).collect::<Vec<_>>());
+            let cfg = LaunchConfig::for_threads(300);
+            let triple = |inp: DeviceBuffer<i64>| {
+                move |range: std::ops::Range<usize>, tile: &mut [i64]| {
+                    let inp = inp.read();
+                    for (i, slot) in range.zip(tile.iter_mut()) {
+                        *slot = inp[i] * 3;
+                    }
+                }
+            };
+            let pending = if fused {
+                let mut batch = stream.batch();
+                let input = batch.try_upload_shared(data).unwrap();
+                let out = batch.try_alloc::<i64>(300).unwrap();
+                batch.try_launch_tiles(cfg, &out, triple(input)).unwrap();
+                let pending = batch.try_download(&out).unwrap();
+                batch.commit();
+                pending
+            } else {
+                let input = stream.try_upload_shared(data).unwrap();
+                let out = stream.try_alloc::<i64>(300).unwrap();
+                stream.try_launch_tiles(cfg, &out, triple(input)).unwrap();
+                stream.try_download(&out).unwrap()
+            };
             let data = pending.result().unwrap();
             (data, device.stats().launches_fused())
         };
@@ -1182,26 +1182,37 @@ mod tests {
         assert_eq!(fused, unfused);
         assert_eq!(fused[299], 897);
         assert_eq!(fused_count, 1, "fused batch credits its launch");
-        assert_eq!(unfused_count, 0, "passthrough batch fuses nothing");
+        assert_eq!(unfused_count, 0, "direct calls fuse nothing");
     }
 
     #[test]
     fn fused_batch_preserves_fault_ordinals() {
         use crate::fault::{Fault, FaultPlan};
-        // Stall stream op #2 (the third alloc) in both modes: the
-        // fused delivery must tick per-op ordinals identically.
+        // Stall stream op #2 (the third alloc) through a batch and
+        // through direct calls: fused delivery must tick per-op
+        // ordinals identically.
         let run = |fused: bool| -> XpuError {
             let device = Device::new(2);
             device.set_fault_plan(Some(FaultPlan::new().with(Fault::StreamStall { nth: 2 })));
             let stream = device.stream();
-            let mut batch = stream.batch(fused);
-            let _a = batch.try_alloc::<u32>(8).unwrap(); // op 0
-            let _b = batch.try_alloc::<u32>(8).unwrap(); // op 1
-            let out = batch.try_alloc::<u32>(8).unwrap(); // op 2: stalls
-            batch
-                .try_launch_tiles(LaunchConfig::for_threads(8), &out, |_, _: &mut [u32]| {})
-                .unwrap();
-            batch.commit();
+            let cfg = LaunchConfig::for_threads(8);
+            if fused {
+                let mut batch = stream.batch();
+                let _a = batch.try_alloc::<u32>(8).unwrap(); // op 0
+                let _b = batch.try_alloc::<u32>(8).unwrap(); // op 1
+                let out = batch.try_alloc::<u32>(8).unwrap(); // op 2: stalls
+                batch
+                    .try_launch_tiles(cfg, &out, |_, _: &mut [u32]| {})
+                    .unwrap();
+                batch.commit();
+            } else {
+                let _a = stream.try_alloc::<u32>(8).unwrap();
+                let _b = stream.try_alloc::<u32>(8).unwrap();
+                let out = stream.try_alloc::<u32>(8).unwrap();
+                stream
+                    .try_launch_tiles(cfg, &out, |_, _: &mut [u32]| {})
+                    .unwrap();
+            }
             stream.try_synchronize().unwrap_err()
         };
         let fused_err = run(true);
