@@ -27,34 +27,35 @@ done
 echo "== fault-injection suite (seeded FaultPlan matrix)"
 # The device fault paths and the engine's graceful-degradation
 # machinery, including the 100-seed schedule matrix over the paper's
-# uart and aes layouts (release mode keeps the matrix fast).
+# uart and aes layouts and 25 seeded schedules under a parallel delta
+# re-check (release mode keeps the matrix fast).
 cargo test -q --release -p odrc-xpu --test faults
 cargo test -q --release -p odrc --test fault_injection
 
 echo "== planner equivalence (fixed fault seeds)"
-# The execution planner must report byte-identical violations to the
-# per-rule loop, in both modes, with and without injected faults. The
-# vendored proptest derives every case's seed from the test name, so
-# the fault schedules exercised here are fixed run to run.
+# The planned parallel engine must report byte-identical violations to
+# the sequential reference, with and without injected faults, and the
+# planner's scene and row-upload sharing must hold as absolute counts.
+# The vendored proptest derives every case's seed from the test name,
+# so the fault schedules exercised here are fixed run to run.
 cargo test -q --release -p odrc --test plan_equivalence
 
 echo "== host executor equivalence (thread-count matrix)"
 # The work-stealing host executor must report byte-identical violations
-# for every host_threads count, in both modes, planner on and off,
-# and under seeded fault schedules.
+# for every host_threads count, in both modes, and under seeded fault
+# schedules.
 cargo test -q --release -p odrc --test host_parallel_equivalence
 
-echo "== dispatch equivalence (pool/planner matrix, 25 fault seeds)"
-# The persistent-pool dispatch layer: pooled vs scoped workers, fused
-# batches, and launch graphs replayed under the planner — all
-# byte-identical to the sequential baseline across modes, planner, and
-# host thread counts, and under seeded fault schedules. (Fused batches
-# tick the same fault ordinals as direct stream calls: pinned in the
-# xpu stream tests.)
+echo "== dispatch equivalence (mode/thread matrix, 25 fault seeds)"
+# The persistent-pool dispatch layer: pooled workers, fused batches,
+# and replayed launch graphs — all byte-identical to the sequential
+# baseline across modes and host thread counts, and under seeded fault
+# schedules. (Fused batches tick the same fault ordinals as direct
+# stream calls: pinned in the xpu stream tests.)
 cargo test -q --release -p odrc --test dispatch_equivalence
 
 echo "== perf gate (kernel-wait + host scaling vs committed baseline)"
-# Re-measures the aes parallel configurations against the committed
+# Re-measures the aes parallel configuration against the committed
 # BENCH_pipeline.json: fails on a kernel-wait regression beyond 25%
 # (+10ms grace) or 2-thread host scaling below 0.95x of serial.
 # min-of-5 repeats: the gate compares minima, and 3 repeats has been
@@ -62,15 +63,15 @@ echo "== perf gate (kernel-wait + host scaling vs committed baseline)"
 cargo run -q --release -p odrc-bench --bin pipeline -- --gate BENCH_pipeline.json --repeat 5
 
 echo "== pipeline bench smoke run"
-# The planner benchmark on the small uart design: asserts all four
-# (mode, planner) configurations agree and exercises the JSON emitter.
+# The pipeline benchmark on the small uart design: asserts both modes
+# agree and exercises the JSON emitter.
 # Runs from target/ so the committed aes/jpeg BENCH_pipeline.json
 # record is not clobbered by the smoke design.
 (cd target && cargo run -q --release -p odrc-bench --bin pipeline -- --designs uart --json)
 
 echo "== host-threads smoke run"
-# The same smoke deck with the host fan-out forced on: asserts the
-# four configurations still agree with two host worker threads.
+# The same smoke deck with the host fan-out forced on: asserts both
+# modes still agree with two host worker threads.
 (cd target && cargo run -q --release -p odrc-bench --bin pipeline -- --designs uart --host-threads 2)
 
 echo "== kill/resume smoke (tiny --deadline, then --resume to completion)"

@@ -63,7 +63,7 @@ fn bench_sweep(c: &mut Criterion) {
 }
 
 fn bench_spatial_indices(c: &mut Criterion) {
-    use odrc_infra::{QuadTree, RTree};
+    use odrc_infra::RTree;
     let mut group = c.benchmark_group("spatial-index");
     group.sample_size(20);
     group.warm_up_time(Duration::from_millis(500));
@@ -85,14 +85,9 @@ fn bench_spatial_indices(c: &mut Criterion) {
         })
         .collect();
     group.bench_function("rtree-build", |b| b.iter(|| RTree::bulk_load(&rects)));
-    group.bench_function("quadtree-build", |b| b.iter(|| QuadTree::build(&rects)));
     let rtree = RTree::bulk_load(&rects);
-    let quad = QuadTree::build(&rects);
     group.bench_function("rtree-200-queries", |b| {
         b.iter(|| windows.iter().map(|&w| rtree.query(w).len()).sum::<usize>())
-    });
-    group.bench_function("quadtree-200-queries", |b| {
-        b.iter(|| windows.iter().map(|&w| quad.query(w).len()).sum::<usize>())
     });
     group.bench_function("linear-200-queries", |b| {
         b.iter(|| {

@@ -75,9 +75,9 @@ fn main() {
         println!("{n:>10} {t1:>14.4} {t2:>14.4} {:>10}", p1.len());
     }
 
-    // (g) Window-query structures: linear scan vs quadtree vs R-tree.
+    // (g) Window-query structures: linear scan vs R-tree.
     {
-        use odrc_infra::{QuadTree, RTree};
+        use odrc_infra::RTree;
         println!("\n=== Ablation (g): window queries, 20k rects x 200 windows ===");
         let mut rng2 = StdRng::seed_from_u64(9);
         let rects: Vec<Rect> = (0..20_000)
@@ -95,9 +95,7 @@ fn main() {
             })
             .collect();
         let (t_rb, rtree) = time(|| RTree::bulk_load(&rects));
-        let (t_qb, quad) = time(|| QuadTree::build(&rects));
         let (t_r, hits_r) = time(|| windows.iter().map(|&w| rtree.query(w).len()).sum::<usize>());
-        let (t_q, hits_q) = time(|| windows.iter().map(|&w| quad.query(w).len()).sum::<usize>());
         let (t_l, hits_l) = time(|| {
             windows
                 .iter()
@@ -105,11 +103,9 @@ fn main() {
                 .sum::<usize>()
         });
         assert_eq!(hits_r, hits_l);
-        assert_eq!(hits_q, hits_l);
         println!("{:>12} {:>12} {:>12}", "structure", "build(s)", "query(s)");
         println!("{:>12} {:>12} {:>12.4}", "linear", "-", t_l);
         println!("{:>12} {:>12.4} {:>12.4}", "rtree", t_rb, t_r);
-        println!("{:>12} {:>12.4} {:>12.4}", "quadtree", t_qb, t_q);
     }
 
     // (f) Baseline strength: the as-drawn flat checker vs the

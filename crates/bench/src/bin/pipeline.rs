@@ -1,13 +1,13 @@
-//! Benchmarks the cross-rule execution planner on a multi-rule deck:
-//! both engine modes, planner on versus off (the per-rule-loop
-//! baseline), per design. With `--json`, writes the machine-readable
+//! Benchmarks the planned check pipeline on a multi-rule deck: both
+//! engine modes per design, with the parallel mode's speedup over the
+//! sequential one. With `--json`, writes the machine-readable
 //! `BENCH_pipeline.json` so the perf trajectory is tracked across PRs.
 //!
 //! `--scaling` instead sweeps the host executor's thread count
-//! (1/2/4/max, deduplicated) over the sequential planned engine and
+//! (1/2/4/max, deduplicated) over the sequential engine and
 //! writes `BENCH_host.json` — the host-parallelism scaling table.
 //!
-//! `--gate <baseline.json>` re-measures the aes parallel configurations
+//! `--gate <baseline.json>` re-measures the aes parallel configuration
 //! against a committed `BENCH_pipeline.json` and exits nonzero on a
 //! kernel-wait regression (>25% + 10ms grace), 2-thread host scaling
 //! below 0.95x, or a peak-RSS regression beyond 1.5x the committed
@@ -30,7 +30,6 @@ use odrc_bench::{load_designs, pipeline_deck, BenchDesign};
 
 struct RunResult {
     mode: &'static str,
-    planner: bool,
     wall_ms: f64,
     report: Option<CheckReport>,
 }
@@ -41,13 +40,12 @@ impl RunResult {
     }
 }
 
-fn engine(mode: Mode, planner: bool, host_threads: Option<usize>) -> Engine {
+fn engine(mode: Mode, host_threads: Option<usize>) -> Engine {
     let base = match mode {
         Mode::Sequential => Engine::sequential(),
         Mode::Parallel => Engine::parallel(),
     };
     base.with_options(EngineOptions {
-        planner,
         host_threads,
         ..EngineOptions::default()
     })
@@ -68,25 +66,24 @@ fn engine(mode: Mode, planner: bool, host_threads: Option<usize>) -> Engine {
 fn run_configs(
     design: &BenchDesign,
     deck: &RuleDeck,
-    configs: &[(Mode, bool)],
+    configs: &[Mode],
     repeat: usize,
     host_threads: Option<usize>,
 ) -> Vec<RunResult> {
     let mut results: Vec<RunResult> = configs
         .iter()
-        .map(|&(mode, planner)| RunResult {
+        .map(|&mode| RunResult {
             mode: match mode {
                 Mode::Sequential => "sequential",
                 Mode::Parallel => "parallel",
             },
-            planner,
             wall_ms: f64::INFINITY,
             report: None,
         })
         .collect();
     for _ in 0..repeat.max(1) {
-        for (slot, &(mode, planner)) in results.iter_mut().zip(configs) {
-            let e = engine(mode, planner, host_threads);
+        for (slot, &mode) in results.iter_mut().zip(configs) {
+            let e = engine(mode, host_threads);
             let start = Instant::now();
             let r = e.check(&design.layout, deck);
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -125,7 +122,7 @@ fn scaling_ladder() -> Vec<usize> {
     rungs
 }
 
-/// Sweeps the sequential planned engine over the thread ladder,
+/// Sweeps the sequential engine over the thread ladder,
 /// interleaved min-of-N like [`run_configs`].
 fn run_scaling(
     design: &BenchDesign,
@@ -143,7 +140,7 @@ fn run_scaling(
         .collect();
     for _ in 0..repeat.max(1) {
         for slot in results.iter_mut() {
-            let e = engine(Mode::Sequential, true, Some(slot.threads));
+            let e = engine(Mode::Sequential, Some(slot.threads));
             let start = Instant::now();
             let r = e.check(&design.layout, deck);
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -161,7 +158,7 @@ fn write_scaling_json(path: &str, results: &[(String, Vec<ScaleRun>)]) -> std::i
     let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
     writeln!(f, "{{")?;
     writeln!(f, "  \"bench\": \"host-scaling\",")?;
-    writeln!(f, "  \"mode\": \"sequential+planner\",")?;
+    writeln!(f, "  \"mode\": \"sequential\",")?;
     writeln!(f, "  \"designs\": [")?;
     for (di, (name, runs)) in results.iter().enumerate() {
         writeln!(f, "    {{")?;
@@ -216,7 +213,6 @@ fn write_json(
             let s = &r.report().stats;
             writeln!(f, "        {{")?;
             writeln!(f, "          \"mode\": \"{}\",", r.mode)?;
-            writeln!(f, "          \"planner\": {},", r.planner)?;
             writeln!(f, "          \"wall_ms\": {:.3},", r.wall_ms)?;
             writeln!(
                 f,
@@ -265,11 +261,14 @@ fn write_json(
 struct BaselineRun {
     design: String,
     mode: String,
-    planner: bool,
+    /// `false` only for the `"planner": false` rows of files written
+    /// while the engine still had a planner-off loop; those rows are
+    /// never compared against.
+    planned: bool,
     kernel_wait_ms: Option<f64>,
 }
 
-/// Scrapes `(design, mode, planner, kernel-wait)` tuples out of a
+/// Scrapes `(design, mode, planned, kernel-wait)` tuples out of a
 /// committed `BENCH_pipeline.json`. The file is written by this binary
 /// with one key per line, so a line-oriented scan is exact — no JSON
 /// dependency needed (the workspace dependency list is fixed).
@@ -294,12 +293,12 @@ fn scan_baseline(path: &str) -> (Vec<BaselineRun>, std::collections::HashMap<Str
             out.push(BaselineRun {
                 design: design.clone(),
                 mode: v,
-                planner: false,
+                planned: true,
                 kernel_wait_ms: None,
             });
         } else if let Some(v) = field(line, "planner") {
             if let Some(last) = out.last_mut() {
-                last.planner = v == "true";
+                last.planned = v == "true";
             }
         } else if let Some(v) = field(line, "kernel-wait") {
             if let Some(last) = out.last_mut() {
@@ -321,9 +320,9 @@ fn phase_ms(report: &CheckReport, phase: &str) -> Option<f64> {
 }
 
 /// The CI perf gate (`--gate <baseline.json>`): re-measures the aes
-/// parallel configurations and fails (exit 1) if kernel-wait regressed
+/// parallel configuration and fails (exit 1) if kernel-wait regressed
 /// more than 25% past the committed baseline, or if running the
-/// sequential planned engine with two host threads costs more than 5%
+/// sequential engine with two host threads costs more than 5%
 /// over one thread (adaptive granularity must keep small hosts at
 /// parity). A 10ms absolute grace keeps sub-noise baselines from
 /// tripping the ratio.
@@ -336,17 +335,16 @@ fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
     let mut ok = true;
 
     println!("=== Perf gate vs {baseline_path} ===");
-    let configs = [(Mode::Parallel, false), (Mode::Parallel, true)];
     odrc_infra::reset_peak_rss();
-    let runs = run_configs(&design, deck, &configs, repeat, None);
+    let runs = run_configs(&design, deck, &[Mode::Parallel], repeat, None);
     let fresh_peak = odrc_infra::peak_rss_bytes();
     for r in &runs {
         let base = baseline
             .iter()
-            .find(|b| b.design == "aes" && b.mode == "parallel" && b.planner == r.planner)
+            .find(|b| b.design == "aes" && b.mode == "parallel" && b.planned)
             .and_then(|b| b.kernel_wait_ms);
         let fresh = phase_ms(r.report(), "kernel-wait").unwrap_or(0.0);
-        let label = format!("aes parallel{}", if r.planner { "+plan" } else { "" });
+        let label = "aes parallel";
         match base {
             Some(base) => {
                 let limit = base * 1.25 + 10.0;
@@ -395,7 +393,7 @@ fn run_gate(baseline_path: &str, deck: &RuleDeck, repeat: usize) -> bool {
     let pass = ratio >= 0.95;
     ok &= pass;
     println!(
-        "aes seq+plan host scaling 1t {:.1}ms / 2t {:.1}ms = {:.2}x .. {}",
+        "aes seq host scaling 1t {:.1}ms / 2t {:.1}ms = {:.2}x .. {}",
         scale[0].wall_ms,
         scale[1].wall_ms,
         ratio,
@@ -462,7 +460,7 @@ fn main() {
     if scaling {
         let ladder = scaling_ladder();
         println!(
-            "\n=== Host executor scaling: sequential+planner, {}-rule deck ===",
+            "\n=== Host executor scaling: sequential, {}-rule deck ===",
             deck.rules().len()
         );
         println!(
@@ -502,15 +500,10 @@ fn main() {
         }
         return;
     }
-    let configs = [
-        (Mode::Sequential, false),
-        (Mode::Sequential, true),
-        (Mode::Parallel, false),
-        (Mode::Parallel, true),
-    ];
+    let configs = [Mode::Sequential, Mode::Parallel];
 
     println!(
-        "\n=== Execution planner: {}-rule deck, planner off vs on ===",
+        "\n=== Check pipeline: {}-rule deck, sequential vs parallel ===",
         deck.rules().len()
     );
     println!(
@@ -536,30 +529,21 @@ fn main() {
         odrc_infra::reset_peak_rss();
         let runs = run_configs(&design, &deck, &configs, repeat, host_threads);
         let peak_rss = odrc_infra::peak_rss_bytes();
-        let mut baseline: std::collections::HashMap<&'static str, f64> = Default::default();
         for r in &runs {
-            // All four configurations must agree exactly.
+            // Both modes must agree exactly.
             assert_eq!(
                 runs[0].report().violations,
                 r.report().violations,
-                "planner changed the violation set on {}",
+                "parallel mode changed the violation set on {}",
                 design.name
             );
-            let speedup = if r.planner {
-                baseline.get(r.mode).map(|b| b / r.wall_ms)
-            } else {
-                baseline.insert(r.mode, r.wall_ms);
-                None
-            };
+            // Parallel rows show their speedup over sequential.
+            let speedup = (r.mode == "parallel").then(|| runs[0].wall_ms / r.wall_ms);
             let s = &r.report().stats;
             println!(
                 "{:<10} {:<12} {:>8.1} {:>10} {:>7} {:>7} {:>7} {:>7} {:>12} {:>7}",
                 design.name,
-                format!(
-                    "{}{}",
-                    if r.mode == "sequential" { "seq" } else { "par" },
-                    if r.planner { "+plan" } else { "" }
-                ),
+                if r.mode == "sequential" { "seq" } else { "par" },
                 r.wall_ms,
                 r.report().violations.len(),
                 s.scenes_built,

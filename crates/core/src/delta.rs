@@ -41,9 +41,9 @@ use crate::cache::{CacheHandle, CacheKeys, ResultCache};
 use crate::engine::{CheckReport, Engine, EngineStats, Mode};
 use crate::parallel;
 use crate::rules::{Rule, RuleDeck, RuleKind};
-use crate::scene::{DirtyWindow, LayerScene};
+use crate::scene::DirtyWindow;
 use crate::sequential::{self, RunContext};
-use crate::violation::{canonicalize, Violation, ViolationKind};
+use crate::violation::{canonicalize, Violation};
 
 /// The outcome of a delta re-check, relative to the previous run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -433,10 +433,6 @@ impl Engine {
             // (see `infra::host`): host fan-outs and kernel slices draw
             // from one gate, so the run never oversubscribes.
             self.device.set_host_gate(ctx.host.gate());
-            let stream = match self.mode {
-                Mode::Sequential => None,
-                Mode::Parallel => Some(self.device.stream()),
-            };
             for rule in deck.rules() {
                 // A cancelled delta run stops at the rule boundary, like
                 // the full pipeline; its partial set is flagged below.
@@ -447,20 +443,10 @@ impl Engine {
                     }
                 }
                 let olds = by_rule.remove(rule.name.as_str()).unwrap_or_default();
-                self.run_delta_rule(
-                    &mut ctx,
-                    stream.as_ref(),
-                    rule,
-                    &dirty,
-                    olds,
-                    &mut violations,
-                );
+                self.run_delta_rule(&mut ctx, rule, &dirty, olds, &mut violations);
                 if let Some(cb) = &self.progress {
                     cb(&rule.name, crate::engine::RuleStatus::Completed);
                 }
-            }
-            if let Some(stream) = &stream {
-                stream.synchronize();
             }
             ctx.stats.host_tasks += ctx.host.tasks();
             ctx.stats.host_steals += ctx.host.steals();
@@ -483,139 +469,51 @@ impl Engine {
     fn run_delta_rule(
         &self,
         ctx: &mut RunContext<'_>,
-        stream: Option<&odrc_xpu::Stream>,
         rule: &Rule,
         dirty: &[Rect],
         old_rule_viols: Vec<Violation>,
         out: &mut Vec<Violation>,
     ) {
-        let splice = |w: DirtyWindow<'_>, fresh: Vec<Violation>, out: &mut Vec<Violation>| {
-            // One predicate on both sides makes the splice exact: old
-            // violations outside the influence window survive verbatim,
-            // fresh windowed results replace everything inside it.
-            out.extend(
-                old_rule_viols
-                    .iter()
-                    .filter(|v| !w.hits(v.location))
-                    .cloned(),
-            );
-            out.extend(fresh.into_iter().filter(|v| w.hits(v.location)));
+        // The rule's interaction halo around the dirt. Overlap area only
+        // changes when geometry actually intersects the dirt, so its
+        // halo is zero. Intra-polygon rules get no window: the per-cell
+        // memo plus the persistent cache already make a full pass cheap,
+        // and the fresh set simply replaces the rule's old one.
+        let margin = match &rule.kind {
+            RuleKind::Space { min, .. } | RuleKind::Enclosure { min, .. } => clamp_margin(*min),
+            RuleKind::OverlapArea { .. } => 0,
+            _ => return self.run_rule(ctx, rule, None, out),
         };
-        match &rule.kind {
-            RuleKind::Space {
-                layer,
-                min,
-                min_projection,
-            } => {
-                let spec = crate::checks::SpaceSpec {
-                    min: *min,
-                    min_projection: *min_projection,
-                };
-                let w = DirtyWindow {
-                    rects: dirty,
-                    margin: clamp_margin(*min),
-                };
-                let layout = ctx.layout;
-                let scene = ctx
-                    .profiler
-                    .time("scene", || LayerScene::build_near(layout, *layer, Some(w)));
-                let mut fresh = Vec::new();
-                match self.mode {
-                    Mode::Sequential => {
-                        let sig = crate::cache::rule_signature(rule);
-                        sequential::check_space_scene(
-                            ctx, &rule.name, &scene, spec, sig, &mut fresh,
-                        );
-                    }
-                    Mode::Parallel => {
-                        let stream = stream.expect("parallel mode carries a stream");
-                        parallel::check_space_scene_parallel(
-                            ctx, stream, &rule.name, &scene, spec, &mut fresh,
-                        );
-                    }
-                }
-                splice(w, fresh, out);
-            }
-            RuleKind::Enclosure { inner, outer, min } => {
-                let w = DirtyWindow {
-                    rects: dirty,
-                    margin: clamp_margin(*min),
-                };
-                let mut fresh = Vec::new();
-                match self.mode {
-                    Mode::Sequential => sequential::check_pairs_rule(
-                        ctx,
-                        &rule.name,
-                        ViolationKind::Enclosure,
-                        *inner,
-                        *outer,
-                        *min,
-                        Some(w),
-                        &mut fresh,
-                    ),
-                    Mode::Parallel => parallel::check_enclosure_rule_parallel(
-                        ctx,
-                        stream.expect("parallel mode carries a stream"),
-                        &rule.name,
-                        *inner,
-                        *outer,
-                        *min,
-                        Some(w),
-                        &mut fresh,
-                    ),
-                }
-                splice(w, fresh, out);
-            }
-            RuleKind::OverlapArea {
-                inner,
-                outer,
-                min_area,
-            } => {
-                // Overlap area only changes when geometry actually
-                // intersects the dirt, so the halo is zero.
-                let w = DirtyWindow {
-                    rects: dirty,
-                    margin: 0,
-                };
-                let mut fresh = Vec::new();
-                match self.mode {
-                    Mode::Sequential => sequential::check_pairs_rule(
-                        ctx,
-                        &rule.name,
-                        ViolationKind::OverlapArea,
-                        *inner,
-                        *outer,
-                        *min_area,
-                        Some(w),
-                        &mut fresh,
-                    ),
-                    Mode::Parallel => parallel::check_overlap_rule_parallel(
-                        ctx,
-                        stream.expect("parallel mode carries a stream"),
-                        &rule.name,
-                        *inner,
-                        *outer,
-                        *min_area,
-                        Some(w),
-                        &mut fresh,
-                    ),
-                }
-                splice(w, fresh, out);
-            }
-            _ => {
-                // Intra-polygon rules: the per-cell memo plus the
-                // persistent cache already make a full pass cheap, and
-                // the fresh set simply replaces the rule's old one.
-                drop(old_rule_viols);
-                match self.mode {
-                    Mode::Sequential => sequential::check_intra_rule(ctx, rule, out),
-                    Mode::Parallel => parallel::check_intra_rule_parallel(
-                        ctx,
-                        stream.expect("parallel mode carries a stream"),
-                        rule,
-                        out,
-                    ),
-                }
+        let w = DirtyWindow {
+            rects: dirty,
+            margin,
+        };
+        let mut fresh = Vec::new();
+        self.run_rule(ctx, rule, Some(w), &mut fresh);
+        // One predicate on both sides makes the splice exact: old
+        // violations outside the influence window survive verbatim,
+        // fresh windowed results replace everything inside it.
+        out.extend(old_rule_viols.into_iter().filter(|v| !w.hits(v.location)));
+        out.extend(fresh.into_iter().filter(|v| w.hits(v.location)));
+    }
+
+    /// Runs one rule to completion through the mode's per-rule entry
+    /// point: inline on the host, or issue → collect → recovery drain
+    /// on a fresh stream of its own (stream errors are sticky, so a
+    /// fault in one rule never poisons the next).
+    fn run_rule(
+        &self,
+        ctx: &mut RunContext<'_>,
+        rule: &Rule,
+        window: Option<DirtyWindow<'_>>,
+        out: &mut Vec<Violation>,
+    ) {
+        match self.mode {
+            Mode::Sequential => sequential::check_rule(ctx, rule, window, out),
+            Mode::Parallel => {
+                let fl = parallel::issue_rule(ctx, self.device.stream(), rule, window);
+                parallel::collect_rule(ctx, fl, out);
+                parallel::drain_recovery(ctx, &self.device, out);
             }
         }
     }

@@ -7,9 +7,9 @@ use odrc_xpu::Device;
 use crate::cache::{rule_signature, CacheHandle, CacheKeys, ResultCache};
 use crate::checkpoint::CheckpointJournal;
 use crate::parallel;
-use crate::rules::{Rule, RuleDeck, RuleKind};
+use crate::rules::{Rule, RuleDeck};
 use crate::sequential::{self, RunContext};
-use crate::violation::{canonicalize, Violation, ViolationKind};
+use crate::violation::{canonicalize, Violation};
 
 /// Execution mode of the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,20 +47,9 @@ pub struct EngineOptions {
     pub sweep_threshold: usize,
     /// Candidate-pair discovery structure for the sequential mode.
     pub pair_index: PairIndex,
-    /// Device attempts per failed work unit (row or rule) before the
-    /// engine gives up on the device and recomputes on the host. Zero
-    /// falls back immediately.
-    pub max_device_retries: usize,
     /// Base delay of the capped exponential backoff between device
     /// retries, in milliseconds.
     pub retry_backoff_ms: u64,
-    /// Enable the cross-rule execution planner: one scene per layer
-    /// per run, device-resident row buffers shared across rules, and
-    /// concurrent multi-stream rule scheduling with deferred
-    /// synchronization. Disabling it reproduces the strict per-rule
-    /// loop (fresh scene and uploads per rule, synchronize between
-    /// rules) — the planner ablation and the equivalence baseline.
-    pub planner: bool,
     /// Worker threads for the shared work-stealing host executor that
     /// fans out scene builds, partition assignment, row packing, the
     /// row-parallel sequential checks, and violation canonicalization.
@@ -120,9 +109,7 @@ impl Default for EngineOptions {
             partition: true,
             sweep_threshold: 512,
             pair_index: PairIndex::default(),
-            max_device_retries: 2,
             retry_backoff_ms: 1,
-            planner: true,
             host_threads: None,
             shared_gate: None,
             memory_budget: None,
@@ -574,228 +561,140 @@ impl Engine {
             // deterministic).
             self.device.set_cancel(self.cancel.clone());
             ctx.host.set_cancel(self.cancel.clone());
-            match self.mode {
-                Mode::Sequential => {
-                    for (ri, rule) in rules.iter().enumerate() {
-                        if status[ri] == RuleStatus::Resumed {
-                            continue;
-                        }
-                        let sharded = crate::shard::sharded_rule(&self.options, rule);
-                        if !sharded && !crate::shard::whole_rule_assigned(&self.options, ri) {
-                            // Another worker's rule: leave Interrupted.
-                            continue;
-                        }
-                        poll_cancel(&self.cancel, &mut interrupted);
-                        if interrupted.is_some() {
-                            continue;
-                        }
-                        let run = if sharded {
-                            crate::shard::check_rule_sharded(
-                                &mut ctx,
-                                &self.device,
-                                rule,
-                                &mut journal,
-                                self.cancel.as_ref(),
-                                &mut per_rule[ri],
-                            )
-                        } else {
-                            self.run_sequential(&mut ctx, rule, &mut per_rule[ri]);
-                            crate::shard::ShardRun::Done
-                        };
-                        if run == crate::shard::ShardRun::Done {
-                            finalize_rule(
-                                &mut ctx,
-                                &mut journal,
-                                &self.progress,
-                                rule,
-                                &mut per_rule[ri],
-                                &mut status[ri],
-                            );
-                        }
-                        // Partial (worker slice, or cancelled mid-rule):
-                        // the rule stays Interrupted; its completed
-                        // shards live in the journal, not the report.
-                    }
+            // One loop for both modes, in plan order: rules grouped by
+            // the layer they read, so the first rule of a group warms
+            // the run's scene and row-set memo for the rest. A sharded
+            // rule runs its host shard pipeline inline (the device row
+            // path assumes whole-layer resident scenes, which is the
+            // working set the budget exists to bound). A sequential rule
+            // runs inline too. A parallel rule is issued on its own
+            // stream ahead of collection, so independent device work
+            // overlaps across streams with synchronization deferred to
+            // each rule's collect (§IV-E, §V-C). Stream errors are
+            // sticky, so one stream per rule keeps a fault from
+            // poisoning the rest of the deck. In-flight rules are
+            // bounded by the host's parallelism: past that point extra
+            // live streams only add contention.
+            let plan = ctx
+                .profiler
+                .time("plan", || crate::plan::ExecutionPlan::build(deck));
+            let window = ctx.host.threads().clamp(2, 8);
+            let mut inflight: std::collections::VecDeque<(usize, parallel::InFlightRule)> =
+                std::collections::VecDeque::with_capacity(window);
+            for &ri in &plan.order {
+                let rule = &rules[ri];
+                let sharded = crate::shard::sharded_rule(&self.options, rule);
+                if status[ri] == RuleStatus::Resumed
+                    || (!sharded && !crate::shard::whole_rule_assigned(&self.options, ri))
+                {
+                    // Restored from the journal, or another worker's
+                    // rule (left Interrupted).
+                    continue;
                 }
-                Mode::Parallel => {
-                    // Out-of-core sharded rules run the host-side shard
-                    // pipeline in this mode too — the device row path
-                    // assumes whole-layer resident scenes, which is the
-                    // working set the budget exists to bound.
-                    if crate::shard::out_of_core(&self.options) {
-                        for (ri, rule) in rules.iter().enumerate() {
-                            if status[ri] == RuleStatus::Resumed
-                                || !crate::shard::sharded_rule(&self.options, rule)
-                            {
-                                continue;
-                            }
-                            poll_cancel(&self.cancel, &mut interrupted);
-                            if interrupted.is_some() {
-                                continue;
-                            }
-                            let run = crate::shard::check_rule_sharded(
-                                &mut ctx,
-                                &self.device,
-                                rule,
-                                &mut journal,
-                                self.cancel.as_ref(),
-                                &mut per_rule[ri],
-                            );
-                            if run == crate::shard::ShardRun::Done {
-                                finalize_rule(
-                                    &mut ctx,
-                                    &mut journal,
-                                    &self.progress,
-                                    rule,
-                                    &mut per_rule[ri],
-                                    &mut status[ri],
-                                );
-                            }
-                        }
-                    }
-                    // One stream per rule: stream errors are sticky, so
-                    // a fault during one rule must not poison the rest
-                    // of the deck (failed work is recovered per row
-                    // inside each rule).
-                    if self.options.planner {
-                        // Planned: issue rules ahead of collection so
-                        // independent device work overlaps across
-                        // streams, with synchronization deferred to
-                        // each rule's collect (§IV-E, §V-C). In-flight
-                        // rules are bounded by the host's parallelism:
-                        // past that point extra live streams only add
-                        // contention (on a single-core host the window
-                        // degrades to issue-ahead-by-one, keeping the
-                        // scene/buffer sharing wins without
-                        // oversubscription).
-                        let plan = ctx
-                            .profiler
-                            .time("plan", || crate::plan::ExecutionPlan::build(deck));
-                        let window = ctx.host.threads().clamp(2, 8);
-                        let mut inflight: std::collections::VecDeque<(
-                            usize,
-                            parallel::InFlightRule,
-                        )> = std::collections::VecDeque::with_capacity(window);
-                        for &ri in &plan.order {
-                            // Resumed, or already completed host-side by
-                            // the out-of-core pre-pass.
-                            if status[ri] != RuleStatus::Interrupted
-                                || crate::shard::sharded_rule(&self.options, &rules[ri])
-                                || !crate::shard::whole_rule_assigned(&self.options, ri)
-                            {
-                                continue;
-                            }
-                            // Cancellation stops *issuing*; whatever is
-                            // already in flight is still collected below
-                            // (drain, don't abandon, device work).
-                            poll_cancel(&self.cancel, &mut interrupted);
-                            if interrupted.is_some() {
-                                continue;
-                            }
-                            if inflight.len() >= window {
-                                let (ci, fl) = inflight.pop_front().expect("window is non-empty");
-                                parallel::collect_rule(&mut ctx, fl, &mut per_rule[ci]);
-                                collected[ci] = true;
-                                maybe_finalize(
-                                    &mut ctx,
-                                    &mut journal,
-                                    &self.progress,
-                                    rules,
-                                    ci,
-                                    &mut per_rule,
-                                    &mut status,
-                                );
-                            }
-                            let stream = self.device.stream();
-                            inflight.push_back((
-                                ri,
-                                parallel::issue_rule(&mut ctx, stream, &rules[ri]),
-                            ));
-                        }
-                        for (ci, fl) in inflight {
-                            parallel::collect_rule(&mut ctx, fl, &mut per_rule[ci]);
-                            collected[ci] = true;
-                            maybe_finalize(
-                                &mut ctx,
-                                &mut journal,
-                                &self.progress,
-                                rules,
-                                ci,
-                                &mut per_rule,
-                                &mut status,
-                            );
-                        }
-                    } else {
-                        // Ablation / equivalence baseline: the strict
-                        // per-rule loop with a synchronize between
-                        // rules.
-                        for (ri, rule) in rules.iter().enumerate() {
-                            if status[ri] != RuleStatus::Interrupted
-                                || crate::shard::sharded_rule(&self.options, rule)
-                                || !crate::shard::whole_rule_assigned(&self.options, ri)
-                            {
-                                continue;
-                            }
-                            poll_cancel(&self.cancel, &mut interrupted);
-                            if interrupted.is_some() {
-                                continue;
-                            }
-                            let stream = self.device.stream();
-                            let fl = parallel::issue_rule(&mut ctx, stream, rule);
-                            parallel::collect_rule(&mut ctx, fl, &mut per_rule[ri]);
-                            collected[ri] = true;
-                            maybe_finalize(
-                                &mut ctx,
-                                &mut journal,
-                                &self.progress,
-                                rules,
-                                ri,
-                                &mut per_rule,
-                                &mut status,
-                            );
-                        }
-                    }
-                    // Failed work units were deferred so healthy rules
-                    // could keep draining; retry them (with backoff
-                    // deadlines) or fall back to the host now. Under
-                    // cancellation the queue is abandoned instead and
-                    // the affected rules downgraded to Interrupted.
-                    let by_name = rule_indices_by_name(rules);
-                    let abandoned = {
-                        let per_rule = &mut per_rule;
-                        parallel::drain_recovery_routed(
+                // Cancellation stops *issuing*; whatever is already in
+                // flight is still collected below (drain, don't
+                // abandon, device work).
+                poll_cancel(&self.cancel, &mut interrupted);
+                if interrupted.is_some() {
+                    continue;
+                }
+                if !sharded && self.mode == Mode::Parallel {
+                    if inflight.len() >= window {
+                        let (ci, fl) = inflight.pop_front().expect("window is non-empty");
+                        parallel::collect_rule(&mut ctx, fl, &mut per_rule[ci]);
+                        collected[ci] = true;
+                        maybe_finalize(
                             &mut ctx,
-                            &self.device,
-                            self.cancel.as_ref(),
-                            &mut |name, vs| {
-                                if let Some(&ri) = by_name.get(name) {
-                                    per_rule[ri].extend(vs);
-                                }
-                            },
-                        )
-                    };
-                    if !abandoned.is_empty() {
-                        poll_cancel(&self.cancel, &mut interrupted);
+                            &mut journal,
+                            &self.progress,
+                            rules,
+                            ci,
+                            &mut per_rule,
+                            &mut status,
+                        );
                     }
-                    // Rules whose deferred recovery units all drained
-                    // are now final: canonicalize and journal them.
-                    // Abandoned rules stay Interrupted — their partial
-                    // results are discarded below.
-                    for (ri, rule) in rules.iter().enumerate() {
-                        if collected[ri]
-                            && status[ri] == RuleStatus::Interrupted
-                            && !abandoned.iter().any(|n| n == &rule.name)
-                        {
-                            finalize_rule(
-                                &mut ctx,
-                                &mut journal,
-                                &self.progress,
-                                rule,
-                                &mut per_rule[ri],
-                                &mut status[ri],
-                            );
+                    let fl = parallel::issue_rule(&mut ctx, self.device.stream(), rule, None);
+                    inflight.push_back((ri, fl));
+                    continue;
+                }
+                let run = if sharded {
+                    crate::shard::check_rule_sharded(
+                        &mut ctx,
+                        &self.device,
+                        rule,
+                        &mut journal,
+                        self.cancel.as_ref(),
+                        &mut per_rule[ri],
+                    )
+                } else {
+                    sequential::check_rule(&mut ctx, rule, None, &mut per_rule[ri]);
+                    crate::shard::ShardRun::Done
+                };
+                // Partial (worker slice, or cancelled mid-rule): the rule
+                // stays Interrupted; its completed shards live in the
+                // journal, not the report.
+                if run == crate::shard::ShardRun::Done {
+                    finalize_rule(
+                        &mut ctx,
+                        &mut journal,
+                        &self.progress,
+                        rule,
+                        &mut per_rule[ri],
+                        &mut status[ri],
+                    );
+                }
+            }
+            for (ci, fl) in inflight {
+                parallel::collect_rule(&mut ctx, fl, &mut per_rule[ci]);
+                collected[ci] = true;
+                maybe_finalize(
+                    &mut ctx,
+                    &mut journal,
+                    &self.progress,
+                    rules,
+                    ci,
+                    &mut per_rule,
+                    &mut status,
+                );
+            }
+            // Failed work units were deferred so healthy rules could
+            // keep draining; retry them (with backoff deadlines) or fall
+            // back to the host now. Under cancellation the queue is
+            // abandoned instead and the affected rules downgraded to
+            // Interrupted. (A sequential run defers nothing.)
+            let by_name = rule_indices_by_name(rules);
+            let abandoned = {
+                let per_rule = &mut per_rule;
+                parallel::drain_recovery_routed(
+                    &mut ctx,
+                    &self.device,
+                    self.cancel.as_ref(),
+                    &mut |name, vs| {
+                        if let Some(&ri) = by_name.get(name) {
+                            per_rule[ri].extend(vs);
                         }
-                    }
+                    },
+                )
+            };
+            if !abandoned.is_empty() {
+                poll_cancel(&self.cancel, &mut interrupted);
+            }
+            // Rules whose deferred recovery units all drained are now
+            // final: canonicalize and journal them. Abandoned rules stay
+            // Interrupted — their partial results are discarded below.
+            for (ri, rule) in rules.iter().enumerate() {
+                if collected[ri]
+                    && status[ri] == RuleStatus::Interrupted
+                    && !abandoned.iter().any(|n| n == &rule.name)
+                {
+                    finalize_rule(
+                        &mut ctx,
+                        &mut journal,
+                        &self.progress,
+                        rule,
+                        &mut per_rule[ri],
+                        &mut status[ri],
+                    );
                 }
             }
             // A cancelled rule must contribute nothing: partial sets
@@ -850,48 +749,6 @@ impl Engine {
             stats,
             interrupted,
             rule_status: rules.iter().map(|r| r.name.clone()).zip(status).collect(),
-        }
-    }
-
-    fn run_sequential(&self, ctx: &mut RunContext<'_>, rule: &Rule, out: &mut Vec<Violation>) {
-        match &rule.kind {
-            RuleKind::Space {
-                layer,
-                min,
-                min_projection,
-            } => {
-                let spec = crate::checks::SpaceSpec {
-                    min: *min,
-                    min_projection: *min_projection,
-                };
-                let sig = crate::cache::rule_signature(rule);
-                sequential::check_space_rule(ctx, &rule.name, *layer, spec, sig, out);
-            }
-            RuleKind::Enclosure { inner, outer, min } => sequential::check_pairs_rule(
-                ctx,
-                &rule.name,
-                ViolationKind::Enclosure,
-                *inner,
-                *outer,
-                *min,
-                None,
-                out,
-            ),
-            RuleKind::OverlapArea {
-                inner,
-                outer,
-                min_area,
-            } => sequential::check_pairs_rule(
-                ctx,
-                &rule.name,
-                ViolationKind::OverlapArea,
-                *inner,
-                *outer,
-                *min_area,
-                None,
-                out,
-            ),
-            _ => sequential::check_intra_rule(ctx, rule, out),
         }
     }
 }

@@ -21,11 +21,13 @@
 //! gather, shared zero-copy uploads, kernel launches — all enqueued on
 //! the rule's own stream, returning in-flight handles immediately) and
 //! a **collect** half (result waits, the scan+emit second phase,
-//! recovery). The engine issues the whole deck before collecting
-//! anything, so uploads and kernels of independent rules overlap
-//! across streams with one deferred synchronization per stream
-//! (§V-C); the [planner](crate::plan) additionally keeps packed row
-//! buffers device-resident so N rules on one layer upload once.
+//! recovery). A full check issues rules ahead of collection (a window
+//! bounded by the host's parallelism), so uploads and kernels of
+//! independent rules overlap across streams with one deferred
+//! synchronization per stream (§V-C); the [planner](crate::plan)
+//! additionally keeps packed row buffers device-resident so N rules on
+//! one layer upload once. A delta re-check runs the same halves back to
+//! back, one rule at a time.
 //!
 //! # Graceful degradation
 //!
@@ -35,14 +37,13 @@
 //! that already completed and defers the failed work units onto the
 //! run's [`RecoveryUnit`] queue. After every rule has collected, the
 //! queue is drained: each unit is retried on a fresh stream under a
-//! capped backoff **deadline** ([`EngineOptions::max_device_retries`],
+//! capped backoff **deadline** (up to [`MAX_DEVICE_RETRIES`] attempts,
 //! checked at drain time rather than slept inline, so healthy rules
 //! keep draining), and stubborn units are recomputed on the host with
 //! the same check logic — so the final violation set is identical to a
 //! fault-free device run. Retries and fallbacks are tallied in
 //! [`EngineStats::device_retries`] / [`EngineStats::device_fallbacks`].
 //!
-//! [`EngineOptions::max_device_retries`]: crate::EngineOptions::max_device_retries
 //! [`EngineStats::device_retries`]: crate::EngineStats::device_retries
 //! [`EngineStats::device_fallbacks`]: crate::EngineStats::device_fallbacks
 
@@ -64,8 +65,8 @@ use crate::plan::{
     RunInfo,
 };
 use crate::rules::{Rule, RuleKind};
-use crate::scene::{DirtyWindow, LayerScene};
-use crate::sequential::{gather_distance, pairs_measure, RunContext};
+use crate::scene::DirtyWindow;
+use crate::sequential::{gather_distance, pairs_measure, pairs_params, RunContext};
 use crate::violation::{Violation, ViolationKind};
 
 pub(crate) use crate::plan::unpack;
@@ -276,8 +277,19 @@ struct PairsIssue {
 }
 
 /// Issues one rule's device pipeline on `stream` (taking ownership of
-/// the stream) and returns without waiting for any device result.
-pub(crate) fn issue_rule(ctx: &mut RunContext<'_>, stream: Stream, rule: &Rule) -> InFlightRule {
+/// the stream) and returns without waiting for any device result — the
+/// parallel mode's per-rule entry point, shared by the full check and
+/// the delta re-check. Full-layer row sets and launch graphs come from
+/// the run's memo. Under a delta `window`, spacing packs a windowed
+/// scene outside the memo (windowed row sets are rule-specific) and
+/// enclosure / overlap re-measure only the inner shapes near the dirt;
+/// intra-polygon rules ignore the window (they re-run whole).
+pub(crate) fn issue_rule(
+    ctx: &mut RunContext<'_>,
+    stream: Stream,
+    rule: &Rule,
+    window: Option<DirtyWindow<'_>>,
+) -> InFlightRule {
     let kind = match &rule.kind {
         RuleKind::Space {
             layer,
@@ -288,34 +300,25 @@ pub(crate) fn issue_rule(ctx: &mut RunContext<'_>, stream: Stream, rule: &Rule) 
                 min: *min,
                 min_projection: *min_projection,
             };
-            let rows = ctx.row_set(*layer, *min);
-            let graph = ctx.launch_graph(*layer, *min, &rows);
+            let (rows, graph) = match window {
+                None => {
+                    let rows = ctx.row_set(*layer, *min);
+                    let graph = ctx.launch_graph(*layer, *min, &rows);
+                    (rows, graph)
+                }
+                Some(w) => {
+                    let scene = ctx.scene_near(*layer, Some(w));
+                    let rows = Arc::new(RowSet::build(ctx, &scene, *min));
+                    let graph =
+                        Arc::new(LaunchGraph::record(&rows.rows, ctx.options.sweep_threshold));
+                    (rows, graph)
+                }
+            };
             InFlightKind::Space(issue_space(ctx, &stream, &rule.name, &rows, &graph, spec))
         }
-        RuleKind::Enclosure { inner, outer, min } => InFlightKind::Pairs(issue_pairs(
-            ctx,
-            &stream,
-            &rule.name,
-            ViolationKind::Enclosure,
-            *inner,
-            *outer,
-            *min,
-            None,
-        )),
-        RuleKind::OverlapArea {
-            inner,
-            outer,
-            min_area,
-        } => InFlightKind::Pairs(issue_pairs(
-            ctx,
-            &stream,
-            &rule.name,
-            ViolationKind::OverlapArea,
-            *inner,
-            *outer,
-            *min_area,
-            None,
-        )),
+        RuleKind::Enclosure { .. } | RuleKind::OverlapArea { .. } => {
+            InFlightKind::Pairs(issue_pairs(ctx, &stream, rule, window))
+        }
         RuleKind::Width { layer, min } => {
             InFlightKind::Intra(issue_intra(ctx, &stream, &rule.name, *layer, true, *min))
         }
@@ -347,26 +350,6 @@ pub(crate) fn collect_rule(ctx: &mut RunContext<'_>, fl: InFlightRule, out: &mut
     // Errors were already handled per work unit; drain the stream
     // without re-raising them.
     let _ = stream.try_synchronize();
-}
-
-/// Device-mode spacing over an already-built (possibly windowed)
-/// scene, synchronously on the caller's stream — the delta checker's
-/// entry point. Windowed row sets are rule-specific, so they bypass
-/// the planner's cache.
-pub(crate) fn check_space_scene_parallel(
-    ctx: &mut RunContext<'_>,
-    stream: &Stream,
-    rule_name: &str,
-    scene: &LayerScene,
-    spec: SpaceSpec,
-    out: &mut Vec<Violation>,
-) {
-    let rows = RowSet::build(ctx, scene, spec.min);
-    let graph = LaunchGraph::record(&rows.rows, ctx.options.sweep_threshold);
-    let issue = issue_space(ctx, stream, rule_name, &rows, &graph, spec);
-    collect_space(ctx, stream, issue, out);
-    let device = stream.device().clone();
-    drain_recovery(ctx, &device, out);
 }
 
 /// Issue half of the spacing pipeline: walk the (recorded or replayed)
@@ -638,6 +621,10 @@ fn row_host_records(edges: &[PackedEdge], spec: SpaceSpec) -> Vec<(u32, u32, i64
     recs
 }
 
+/// Device attempts per failed work unit (row or rule) before the
+/// engine gives up on the device and recomputes on the host.
+pub(crate) const MAX_DEVICE_RETRIES: usize = 2;
+
 /// One failed device work unit, deferred for later recovery.
 ///
 /// Collect halves push these onto [`RunContext::recovery`] instead of
@@ -870,7 +857,7 @@ fn emit_recovered(
 /// fresh stream under a capped exponential backoff **deadline**
 /// (`retry_backoff_ms`, doubling per attempt, capped at 50 ms), tallying
 /// [`EngineStats::device_retries`] per attempt; after
-/// [`EngineOptions::max_device_retries`] failures a unit falls back to
+/// [`MAX_DEVICE_RETRIES`] failures a unit falls back to
 /// the host and tallies [`EngineStats::device_fallbacks`].
 ///
 /// Unlike the old inline retry loop, the backoff never blocks the
@@ -878,7 +865,6 @@ fn emit_recovered(
 /// collected, and the drain only sleeps when *all* remaining units are
 /// backing off (there is nothing else left to do).
 ///
-/// [`EngineOptions::max_device_retries`]: crate::EngineOptions::max_device_retries
 /// [`EngineStats::device_retries`]: crate::EngineStats::device_retries
 /// [`EngineStats::device_fallbacks`]: crate::EngineStats::device_fallbacks
 pub(crate) fn drain_recovery(ctx: &mut RunContext<'_>, device: &Device, out: &mut Vec<Violation>) {
@@ -909,7 +895,6 @@ pub(crate) fn drain_recovery_routed(
         return Vec::new();
     }
     let tripped = |c: Option<&odrc_infra::CancelToken>| c.is_some_and(|t| t.is_cancelled());
-    let max_retries = ctx.options.max_device_retries;
     let mut queue = std::mem::take(&mut ctx.recovery);
     let mut deferred = Vec::new();
     while !queue.is_empty() && !tripped(cancel) {
@@ -920,7 +905,7 @@ pub(crate) fn drain_recovery_routed(
                 deferred.push(unit);
                 continue;
             }
-            if unit.attempts >= max_retries {
+            if unit.attempts >= MAX_DEVICE_RETRIES {
                 // Exhausted (or retries disabled): host fallback.
                 ctx.stats.device_fallbacks += 1;
                 let recovered = recovery_fallback(&unit.work);
@@ -1131,39 +1116,16 @@ fn emit_intra(
     });
 }
 
-/// Runs an intra-polygon width or area rule with its per-polygon work
-/// executed by a device kernel, synchronously — used by tests that
-/// drive a single rule.
-pub(crate) fn check_intra_rule_parallel(
-    ctx: &mut RunContext<'_>,
-    stream: &Stream,
-    rule: &Rule,
-    out: &mut Vec<Violation>,
-) {
-    let issue = match rule.kind {
-        RuleKind::Width { layer, min } => issue_intra(ctx, stream, &rule.name, layer, true, min),
-        RuleKind::Area { layer, min } => issue_intra(ctx, stream, &rule.name, layer, false, min),
-        _ => return crate::sequential::check_intra_rule(ctx, rule, out),
-    };
-    collect_intra(ctx, issue, out);
-    let device = stream.device().clone();
-    drain_recovery(ctx, &device, out);
-}
-
 /// Issue half of an enclosure / overlap-area rule: gather the work
 /// list on the host (through the memoized scenes), upload it without a
 /// staging copy, and launch the per-shape kernel.
-#[allow(clippy::too_many_arguments)]
 fn issue_pairs(
     ctx: &mut RunContext<'_>,
     stream: &Stream,
-    rule_name: &str,
-    kind: ViolationKind,
-    inner: Layer,
-    outer: Layer,
-    min: i64,
+    rule: &Rule,
     window: Option<DirtyWindow<'_>>,
 ) -> PairsIssue {
+    let (kind, inner, outer, min) = pairs_params(&rule.kind);
     let gather = gather_distance(kind, min);
     let work: Arc<Vec<(Polygon, Vec<Polygon>)>> = Arc::new(crate::sequential::enclosure_work(
         ctx, inner, outer, gather, window,
@@ -1176,7 +1138,7 @@ fn issue_pairs(
         enqueue_pairs(ctx, stream, kind, &work, min).ok()
     };
     PairsIssue {
-        rule_name: rule_name.to_owned(),
+        rule_name: rule.name.clone(),
         kind,
         min,
         work,
@@ -1262,62 +1224,6 @@ fn collect_pairs(ctx: &mut RunContext<'_>, issue: PairsIssue, out: &mut Vec<Viol
             }
         }
     });
-}
-
-/// Runs an enclosure rule with per-via margin computation on the
-/// device, synchronously — the delta checker's entry point.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn check_enclosure_rule_parallel(
-    ctx: &mut RunContext<'_>,
-    stream: &Stream,
-    rule_name: &str,
-    inner: Layer,
-    outer: Layer,
-    min: i64,
-    window: Option<DirtyWindow<'_>>,
-    out: &mut Vec<Violation>,
-) {
-    let issue = issue_pairs(
-        ctx,
-        stream,
-        rule_name,
-        ViolationKind::Enclosure,
-        inner,
-        outer,
-        min,
-        window,
-    );
-    collect_pairs(ctx, issue, out);
-    let device = stream.device().clone();
-    drain_recovery(ctx, &device, out);
-}
-
-/// Runs a minimum-overlap-area rule with the boolean work on the
-/// device, synchronously — the delta checker's entry point.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn check_overlap_rule_parallel(
-    ctx: &mut RunContext<'_>,
-    stream: &Stream,
-    rule_name: &str,
-    inner: Layer,
-    outer: Layer,
-    min_area: i64,
-    window: Option<DirtyWindow<'_>>,
-    out: &mut Vec<Violation>,
-) {
-    let issue = issue_pairs(
-        ctx,
-        stream,
-        rule_name,
-        ViolationKind::OverlapArea,
-        inner,
-        outer,
-        min_area,
-        window,
-    );
-    collect_pairs(ctx, issue, out);
-    let device = stream.device().clone();
-    drain_recovery(ctx, &device, out);
 }
 
 /// All-pairs spacing kernel over an *unsorted* flat edge list: one

@@ -350,10 +350,7 @@ impl LaunchGraph {
 /// The per-run cache behind the planner: scenes, row sets, intra
 /// polygon lists and recorded launch graphs, all keyed so that N rules
 /// reading one layer build and upload once. Lives on the
-/// [`RunContext`]; bypassed entirely when [`EngineOptions::planner`]
-/// is off.
-///
-/// [`EngineOptions::planner`]: crate::EngineOptions::planner
+/// [`RunContext`].
 #[derive(Default)]
 pub(crate) struct PlanCache {
     pub scenes: HashMap<Layer, Arc<LayerScene>>,
@@ -362,12 +359,13 @@ pub(crate) struct PlanCache {
     pub graphs: HashMap<RowSetKey, Arc<LaunchGraph>>,
 }
 
-/// The deck's rules in issue order: grouped by the first layer each
-/// rule reads (first-occurrence order), layer-less rules last. With
-/// deferred synchronization the order does not affect results
-/// (violations are canonicalized); grouping same-layer rules
-/// adjacently just lets the first rule of a group warm the caches
-/// while the rest of the deck is still issuing.
+/// The deck's rules in run order, for both modes: grouped by the first
+/// layer each rule reads (first-occurrence order), layer-less rules
+/// last. The order does not affect results (violations are
+/// canonicalized); grouping same-layer rules adjacently lets the first
+/// rule of a group warm the caches while the rest of the deck is still
+/// issuing, and keeps an out-of-core run's shard residency on one layer
+/// at a time.
 #[derive(Debug)]
 pub struct ExecutionPlan {
     /// Indices into `deck.rules()`.

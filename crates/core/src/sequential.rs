@@ -49,7 +49,7 @@ pub(crate) struct RunContext<'a> {
     /// caller opted into cross-run reuse.
     pub cache: Option<CacheHandle<'a>>,
     /// The execution planner's per-run caches (scenes, row sets, intra
-    /// polygon lists). Consulted only when `options.planner` is set.
+    /// polygon lists, launch graphs).
     pub plan: PlanCache,
     /// The shared work-stealing host executor every hot host phase fans
     /// out on. Sized by `options.host_threads`; a one-thread executor
@@ -112,15 +112,11 @@ impl<'a> RunContext<'a> {
         self.instances.as_ref().expect("just computed")
     }
 
-    /// The full scene of `layer`, memoized across the rules of the run
-    /// when the planner is on. Windowed (delta) scenes never go through
-    /// this memo — they are rule-specific.
+    /// The full scene of `layer`, memoized across the rules of the run.
     pub fn layer_scene(&mut self, layer: Layer) -> Arc<LayerScene> {
-        if self.options.planner {
-            if let Some(scene) = self.plan.scenes.get(&layer) {
-                self.stats.scenes_reused += 1;
-                return Arc::clone(scene);
-            }
+        if let Some(scene) = self.plan.scenes.get(&layer) {
+            self.stats.scenes_reused += 1;
+            return Arc::clone(scene);
         }
         let layout = self.layout;
         let host = Arc::clone(&self.host);
@@ -129,36 +125,45 @@ impl<'a> RunContext<'a> {
                 .time("scene", || LayerScene::build_on(layout, layer, None, &host)),
         );
         self.stats.scenes_built += 1;
-        if self.options.planner {
-            self.plan.scenes.insert(layer, Arc::clone(&scene));
-        }
+        self.plan.scenes.insert(layer, Arc::clone(&scene));
         scene
     }
 
+    /// The scene of `layer` a rule reads: the memoized full scene, or
+    /// under a delta `window` only the objects near the dirt. Windowed
+    /// scenes are rule-specific, so they are built fresh and never
+    /// enter the memo (nor [`EngineStats::scenes_built`]).
+    pub fn scene_near(&mut self, layer: Layer, window: Option<DirtyWindow<'_>>) -> Arc<LayerScene> {
+        match window {
+            None => self.layer_scene(layer),
+            Some(w) => {
+                let layout = self.layout;
+                Arc::new(
+                    self.profiler
+                        .time("scene", || LayerScene::build_near(layout, layer, Some(w))),
+                )
+            }
+        }
+    }
+
     /// The packed, sorted row set of `layer` for a rule distance of
-    /// `min`, memoized by [`RowSetKey`] when the planner is on.
+    /// `min`, memoized by [`RowSetKey`].
     pub fn row_set(&mut self, layer: Layer, min: i64) -> Arc<RowSet> {
         let key = RowSetKey::new(layer, min, self.options.partition);
-        if self.options.planner {
-            if let Some(rows) = self.plan.rows.get(&key) {
-                return Arc::clone(rows);
-            }
+        if let Some(rows) = self.plan.rows.get(&key) {
+            return Arc::clone(rows);
         }
         let scene = self.layer_scene(layer);
         let rows = Arc::new(RowSet::build(self, &scene, min));
-        if self.options.planner {
-            self.plan.rows.insert(key, Arc::clone(&rows));
-        }
+        self.plan.rows.insert(key, Arc::clone(&rows));
         rows
     }
 
     /// The packed unique-polygon list of `layer` for device-side intra
-    /// rules (width, area), memoized per layer when the planner is on.
+    /// rules (width, area), memoized per layer.
     pub fn intra_data(&mut self, layer: Layer) -> Arc<IntraData> {
-        if self.options.planner {
-            if let Some(data) = self.plan.intra.get(&layer) {
-                return Arc::clone(data);
-            }
+        if let Some(data) = self.plan.intra.get(&layer) {
+            return Arc::clone(data);
         }
         let layout = self.layout;
         let data = self.profiler.time("pack", || {
@@ -172,33 +177,25 @@ impl<'a> RunContext<'a> {
                 polys: SharedDeviceData::new(Arc::new(polys)),
             })
         });
-        if self.options.planner {
-            self.plan.intra.insert(layer, Arc::clone(&data));
-        }
+        self.plan.intra.insert(layer, Arc::clone(&data));
         data
     }
 
     /// The recorded launch graph of `(layer, min)`'s row set: replayed
     /// from the plan cache when a previous rule on the same key already
     /// recorded one ([`EngineStats::graph_replays`]), recorded fresh
-    /// otherwise. Replays are gated on the planner.
-    ///
-    /// [`EngineStats::graph_replays`]: crate::EngineStats::graph_replays
+    /// otherwise.
     pub fn launch_graph(&mut self, layer: Layer, min: i64, rows: &RowSet) -> Arc<LaunchGraph> {
         let key = RowSetKey::new(layer, min, self.options.partition);
-        if self.options.planner {
-            if let Some(graph) = self.plan.graphs.get(&key) {
-                self.stats.graph_replays += 1;
-                return Arc::clone(graph);
-            }
+        if let Some(graph) = self.plan.graphs.get(&key) {
+            self.stats.graph_replays += 1;
+            return Arc::clone(graph);
         }
         let graph = Arc::new(LaunchGraph::record(
             &rows.rows,
             self.options.sweep_threshold,
         ));
-        if self.options.planner {
-            self.plan.graphs.insert(key, Arc::clone(&graph));
-        }
+        self.plan.graphs.insert(key, Arc::clone(&graph));
         graph
     }
 
@@ -418,33 +415,42 @@ pub(crate) fn partition_scene(
     partition_objects(&mbrs, min, enabled, profiler, host)
 }
 
-/// Runs a same-layer spacing rule sequentially.
-pub(crate) fn check_space_rule(
+/// Runs one rule on the host — the sequential mode's per-rule entry
+/// point, shared by the full check and the delta re-check. Under a
+/// delta `window`, spacing reads a windowed scene and enclosure /
+/// overlap re-measure only the inner shapes near the dirt;
+/// intra-polygon rules ignore the window (they re-run whole).
+pub(crate) fn check_rule(
     ctx: &mut RunContext<'_>,
-    rule_name: &str,
-    layer: Layer,
-    spec: SpaceSpec,
-    sig: Option<u64>,
+    rule: &Rule,
+    window: Option<DirtyWindow<'_>>,
     out: &mut Vec<Violation>,
 ) {
-    let scene = ctx.layer_scene(layer);
-    check_space_scene(ctx, rule_name, &scene, spec, sig, out);
-}
-
-/// The spacing pipeline over an already-built (possibly windowed)
-/// scene: the row partition, then [`check_space_rows`].
-pub(crate) fn check_space_scene(
-    ctx: &mut RunContext<'_>,
-    rule_name: &str,
-    scene: &LayerScene,
-    spec: SpaceSpec,
-    sig: Option<u64>,
-    out: &mut Vec<Violation>,
-) {
-    let host = Arc::clone(&ctx.host);
-    let partition = partition_scene(scene, spec.min, ctx.options.partition, ctx.profiler, &host);
-    ctx.stats.rows += partition.len();
-    check_space_rows(ctx, rule_name, scene, partition.rows(), spec, sig, out);
+    match &rule.kind {
+        RuleKind::Space {
+            layer,
+            min,
+            min_projection,
+        } => {
+            let spec = SpaceSpec {
+                min: *min,
+                min_projection: *min_projection,
+            };
+            let scene = ctx.scene_near(*layer, window);
+            let host = Arc::clone(&ctx.host);
+            let partition =
+                partition_scene(&scene, spec.min, ctx.options.partition, ctx.profiler, &host);
+            ctx.stats.rows += partition.len();
+            let sig = crate::cache::rule_signature(rule);
+            check_space_rows(ctx, &rule.name, &scene, partition.rows(), spec, sig, out);
+        }
+        RuleKind::Enclosure { .. } | RuleKind::OverlapArea { .. } => {
+            let (kind, inner, outer, min) = pairs_params(&rule.kind);
+            let work = enclosure_work(ctx, inner, outer, gather_distance(kind, min), window);
+            measure_pairs(ctx, &rule.name, kind, min, &work, out);
+        }
+        _ => check_intra_rule(ctx, rule, out),
+    }
 }
 
 /// The spacing row kernel: sweepline, memoized per-cell checks and
@@ -677,19 +683,11 @@ pub(crate) fn enclosure_work(
     min: i64,
     window: Option<DirtyWindow<'_>>,
 ) -> Vec<(Polygon, Vec<Polygon>)> {
-    let layout = ctx.layout;
     // Under a delta window only the inner shapes near the dirt are
     // re-measured; the outer scene stays complete so every retained
     // inner shape sees its full candidate set and measures its exact
-    // margin. Full (window-less) scenes come from the run's memo;
-    // windowed scenes are rule-specific and built fresh.
-    let inner_scene = match window {
-        None => ctx.layer_scene(inner),
-        Some(w) => Arc::new(
-            ctx.profiler
-                .time("scene", || LayerScene::build_near(layout, inner, Some(w))),
-        ),
-    };
+    // margin.
+    let inner_scene = ctx.scene_near(inner, window);
     let outer_scene = ctx.layer_scene(outer);
     gather_enclosure(ctx, &inner_scene, &outer_scene, min, window)
 }
@@ -744,6 +742,23 @@ pub(crate) fn gather_enclosure(
         candidates
     });
     inner_polys.into_iter().zip(candidates).collect()
+}
+
+/// The `(kind, inner, outer, min)` of an enclosure rule (every flat
+/// inner shape enclosed by some outer polygon with margin `min`) or a
+/// minimum-overlap-area rule (the boolean AND of every inner shape with
+/// the outer layer reaches area `min`, the "minimum overlapping area
+/// constraints" of §II).
+pub(crate) fn pairs_params(kind: &RuleKind) -> (ViolationKind, Layer, Layer, i64) {
+    match *kind {
+        RuleKind::Enclosure { inner, outer, min } => (ViolationKind::Enclosure, inner, outer, min),
+        RuleKind::OverlapArea {
+            inner,
+            outer,
+            min_area,
+        } => (ViolationKind::OverlapArea, inner, outer, min_area),
+        _ => unreachable!("not an enclosure-style rule"),
+    }
 }
 
 /// The candidate-gather distance of an enclosure-style rule: the margin
@@ -809,24 +824,4 @@ pub(crate) fn measure_pairs(
                 measured,
             }),
     );
-}
-
-/// Runs an enclosure rule (every flat inner shape enclosed by some
-/// outer polygon with margin `min`) or a minimum-overlap-area rule (the
-/// boolean AND of every inner shape with the outer layer reaches area
-/// `min`, the "minimum overlapping area constraints" of §II)
-/// sequentially.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn check_pairs_rule(
-    ctx: &mut RunContext<'_>,
-    rule_name: &str,
-    kind: ViolationKind,
-    inner: Layer,
-    outer: Layer,
-    min: i64,
-    window: Option<DirtyWindow<'_>>,
-    out: &mut Vec<Violation>,
-) {
-    let work = enclosure_work(ctx, inner, outer, gather_distance(kind, min), window);
-    measure_pairs(ctx, rule_name, kind, min, &work, out);
 }

@@ -43,10 +43,10 @@ use crate::engine::{EngineOptions, EngineStats};
 use crate::rules::{Rule, RuleKind};
 use crate::scene::{layer_object_mbrs, LayerScene};
 use crate::sequential::{
-    check_space_rows, gather_distance, gather_enclosure, measure_pairs, partition_objects,
-    RunContext,
+    check_space_rows, gather_distance, gather_enclosure, measure_pairs, pairs_params,
+    partition_objects, RunContext,
 };
-use crate::violation::{canonicalize, Violation, ViolationKind};
+use crate::violation::{canonicalize, Violation};
 
 /// Target shard count when [`EngineOptions::shard_rows`] is unset: the
 /// partition's rows are grouped into at most this many shards.
@@ -322,39 +322,28 @@ fn run_shards(
             }
         }
         let mut buf: Vec<Violation> = Vec::new();
-        let pairs = match rule.kind {
-            RuleKind::Space {
+        if let RuleKind::Space {
+            layer,
+            min,
+            min_projection,
+        } = rule.kind
+        {
+            let key = SceneKey::Subset {
                 layer,
                 min,
+                shard: shard_id,
+            };
+            let scene = pool.get(key, device, ctx.stats, || {
+                LayerScene::build_members_on(layout, layer, &shard.members, &host)
+            });
+            let spec = SpaceSpec {
+                min,
                 min_projection,
-            } => {
-                let key = SceneKey::Subset {
-                    layer,
-                    min,
-                    shard: shard_id,
-                };
-                let scene = pool.get(key, device, ctx.stats, || {
-                    LayerScene::build_members_on(layout, layer, &shard.members, &host)
-                });
-                let spec = SpaceSpec {
-                    min,
-                    min_projection,
-                };
-                // Shards never consult the persistent result cache.
-                check_space_rows(ctx, &rule.name, &scene, &shard.rows, spec, None, &mut buf);
-                None
-            }
-            RuleKind::Enclosure { inner, outer, min } => {
-                Some((ViolationKind::Enclosure, inner, outer, min))
-            }
-            RuleKind::OverlapArea {
-                inner,
-                outer,
-                min_area,
-            } => Some((ViolationKind::OverlapArea, inner, outer, min_area)),
-            _ => unreachable!("only inter-object rules shard"),
-        };
-        if let Some((kind, inner, outer, min)) = pairs {
+            };
+            // Shards never consult the persistent result cache.
+            check_space_rows(ctx, &rule.name, &scene, &shard.rows, spec, None, &mut buf);
+        } else {
+            let (kind, inner, outer, min) = pairs_params(&rule.kind);
             let gather = gather_distance(kind, min);
             let (inner_scene, outer_scene) = shard_scene_pair(
                 pool, device, ctx.stats, &host, layout, plan, shard, shard_id, inner, outer, gather,

@@ -5,8 +5,8 @@
 //! has to reproduce the uninterrupted violation set byte for byte.
 //! These tests sweep seeded cancellation points (via
 //! [`CancelToken::after_polls`], which trips the token at a
-//! deterministic rule boundary) across engine modes, planner settings,
-//! and injected device-fault schedules, and demand three properties of
+//! deterministic rule boundary) across engine modes and injected
+//! device-fault schedules, and demand three properties of
 //! every interrupted-then-resumed pair:
 //!
 //! 1. the interrupted run reports only whole-rule results (a subset of
@@ -69,7 +69,7 @@ fn deck() -> RuleDeck {
     ])
 }
 
-fn engine(mode: Mode, planner: bool, fault_seed: Option<u64>) -> Engine {
+fn engine(mode: Mode, fault_seed: Option<u64>) -> Engine {
     let base = match mode {
         Mode::Sequential => Engine::sequential(),
         Mode::Parallel => {
@@ -81,7 +81,6 @@ fn engine(mode: Mode, planner: bool, fault_seed: Option<u64>) -> Engine {
         }
     };
     base.with_options(EngineOptions {
-        planner,
         retry_backoff_ms: 0,
         ..EngineOptions::default()
     })
@@ -116,7 +115,6 @@ fn is_subset(part: &[Violation], whole: &[Violation]) -> bool {
 fn kill_then_resume(
     layout: &odrc_db::Layout,
     mode: Mode,
-    planner: bool,
     fault_seed: Option<u64>,
     polls: usize,
     dir: &Path,
@@ -126,7 +124,7 @@ fn kill_then_resume(
 
     let mut journal = CheckpointJournal::open_dir(dir, key).expect("open fresh journal");
     assert!(journal.is_empty(), "fresh journal must start empty");
-    let killed = engine(mode, planner, fault_seed)
+    let killed = engine(mode, fault_seed)
         .with_cancel(CancelToken::after_polls(polls))
         .check_resumable(layout, &deck, None, Some(&mut journal));
 
@@ -139,17 +137,16 @@ fn kill_then_resume(
         journaled_count(&killed, &deck),
         "journal holds exactly the signable rules the killed run completed"
     );
-    let resumed =
-        engine(mode, planner, fault_seed).check_resumable(layout, &deck, None, Some(&mut journal));
+    let resumed = engine(mode, fault_seed).check_resumable(layout, &deck, None, Some(&mut journal));
     (killed, resumed)
 }
 
 fn assert_kill_resume_matrix(
     layout: &odrc_db::Layout,
-    configs: &[(Mode, bool, Option<u64>)],
+    configs: &[(Mode, Option<u64>)],
     poll_budgets: &[usize],
 ) {
-    let baseline = engine(Mode::Sequential, false, None).check(layout, &deck());
+    let baseline = engine(Mode::Sequential, None).check(layout, &deck());
     assert!(
         !baseline.violations.is_empty(),
         "designs under test must actually violate something"
@@ -157,18 +154,11 @@ fn assert_kill_resume_matrix(
 
     let mut saw_interrupted = false;
     let mut saw_complete = false;
-    for &(mode, planner, fault_seed) in configs {
+    for &(mode, fault_seed) in configs {
         for &polls in poll_budgets {
-            let tag = format!(
-                "{:?}-p{}-f{}-n{}",
-                mode,
-                planner,
-                fault_seed.unwrap_or(0),
-                polls
-            );
+            let tag = format!("{:?}-f{}-n{}", mode, fault_seed.unwrap_or(0), polls);
             let dir = fresh_dir(&tag);
-            let (killed, resumed) =
-                kill_then_resume(layout, mode, planner, fault_seed, polls, &dir);
+            let (killed, resumed) = kill_then_resume(layout, mode, fault_seed, polls, &dir);
 
             match killed.interrupted {
                 Some(reason) => {
@@ -209,8 +199,8 @@ fn assert_kill_resume_matrix(
     assert!(saw_complete, "no poll budget let a run finish");
 }
 
-/// The full matrix on uart: both modes, planner on/off, and seeded
-/// device-fault schedules layered on top of the parallel configs — a
+/// The full matrix on uart: both modes, and seeded device-fault
+/// schedules layered on top of the parallel configs — a
 /// kill must compose with the device layer's retry/degrade machinery.
 #[test]
 fn uart_kill_resume_is_byte_identical() {
@@ -218,23 +208,21 @@ fn uart_kill_resume_is_byte_identical() {
     assert_kill_resume_matrix(
         &layout,
         &[
-            (Mode::Sequential, false, None),
-            (Mode::Sequential, true, None),
-            (Mode::Parallel, false, None),
-            (Mode::Parallel, true, None),
-            (Mode::Parallel, false, Some(7)),
-            (Mode::Parallel, true, Some(99)),
+            (Mode::Sequential, None),
+            (Mode::Parallel, None),
+            (Mode::Parallel, Some(7)),
+            (Mode::Parallel, Some(99)),
         ],
         &[0, 1, 2, 3, 4, 5, 6, 7, 9, 64],
     );
 }
 
-/// One denser design through the planner path, to catch window/drain
+/// One denser design through the parallel path, to catch window/drain
 /// interactions a small layout cannot reach.
 #[test]
 fn aes_kill_resume_is_byte_identical() {
     let layout = generate_layout(&DesignSpec::paper("aes").expect("paper design"));
-    assert_kill_resume_matrix(&layout, &[(Mode::Parallel, true, Some(13))], &[1, 3, 5, 64]);
+    assert_kill_resume_matrix(&layout, &[(Mode::Parallel, Some(13))], &[1, 3, 5, 64]);
 }
 
 /// A journal written for one layout must be invisible to a resume
@@ -249,12 +237,8 @@ fn resume_ignores_journal_from_different_run() {
 
     let mut journal =
         CheckpointJournal::open_dir(&dir, RunKey::compute(&layout_a, &deck)).expect("open");
-    let complete = engine(Mode::Sequential, false, None).check_resumable(
-        &layout_a,
-        &deck,
-        None,
-        Some(&mut journal),
-    );
+    let complete =
+        engine(Mode::Sequential, None).check_resumable(&layout_a, &deck, None, Some(&mut journal));
     assert_eq!(complete.stats.rules_completed, deck.rules().len());
     drop(journal);
 
@@ -264,14 +248,10 @@ fn resume_ignores_journal_from_different_run() {
         journal.is_empty(),
         "layout B must not see layout A's records"
     );
-    let fresh = engine(Mode::Sequential, false, None).check_resumable(
-        &layout_b,
-        &deck,
-        None,
-        Some(&mut journal),
-    );
+    let fresh =
+        engine(Mode::Sequential, None).check_resumable(&layout_b, &deck, None, Some(&mut journal));
     assert_eq!(fresh.stats.rules_resumed, 0);
-    let baseline = engine(Mode::Sequential, false, None).check(&layout_b, &deck);
+    let baseline = engine(Mode::Sequential, None).check(&layout_b, &deck);
     assert_eq!(fresh.violations, baseline.violations);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -283,7 +263,7 @@ fn resume_ignores_journal_from_different_run() {
 fn double_resume_is_idempotent() {
     let layout = generate_layout(&DesignSpec::paper("uart").expect("paper design"));
     let dir = fresh_dir("double");
-    let (_killed, first) = kill_then_resume(&layout, Mode::Parallel, true, None, 2, &dir);
+    let (_killed, first) = kill_then_resume(&layout, Mode::Parallel, None, 2, &dir);
 
     let deck = deck();
     let mut journal =
@@ -293,12 +273,8 @@ fn double_resume_is_idempotent() {
         journal_len_all_signable(&deck),
         "first resume completed the journal"
     );
-    let second = engine(Mode::Parallel, true, None).check_resumable(
-        &layout,
-        &deck,
-        None,
-        Some(&mut journal),
-    );
+    let second =
+        engine(Mode::Parallel, None).check_resumable(&layout, &deck, None, Some(&mut journal));
     assert_eq!(second.stats.rules_resumed, journal_len_all_signable(&deck));
     assert_eq!(second.violations, first.violations);
 

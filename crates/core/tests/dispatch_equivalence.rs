@@ -5,8 +5,8 @@
 //! launch graphs across rules. None of that may change *what* the
 //! engine reports: every variant below must produce byte-identical
 //! canonical violation sets against the plain sequential baseline,
-//! across engine modes, planner on/off, host thread counts, pooled vs
-//! scoped dispatch, and 25 seeded fault schedules. Per-stream
+//! across engine modes, host thread counts, and 25 seeded fault
+//! schedules. Per-stream
 //! fault-injection ordinals are part of the contract — a fused batch
 //! ticks the same alloc/transfer/launch ordinals as the direct stream
 //! calls it packs (pinned in the xpu stream tests) — but run-level
@@ -15,7 +15,7 @@
 
 use odrc::{rule, Engine, EngineOptions, Mode, RuleDeck};
 use odrc_layoutgen::{generate_layout, tech, DesignSpec};
-use odrc_xpu::{Device, DispatchMode, FaultPlan};
+use odrc_xpu::{Device, FaultPlan};
 
 /// Several rules per layer so the planner has row sets to share — the
 /// two M1 spacing rules replay one launch graph, width/area share the
@@ -51,18 +51,16 @@ fn shared_deck() -> RuleDeck {
     ])
 }
 
-fn options(planner: bool, host_threads: usize) -> EngineOptions {
+fn options(host_threads: usize) -> EngineOptions {
     EngineOptions {
-        planner,
         host_threads: Some(host_threads),
         retry_backoff_ms: 0,
         ..EngineOptions::default()
     }
 }
 
-/// The full variant matrix: modes × planner (which gates launch-graph
-/// replay) × host threads {1,2,8}, all against the plain sequential
-/// baseline.
+/// The full variant matrix: modes × host threads {1,2,8}, all against
+/// the plain sequential baseline.
 #[test]
 fn dispatch_variants_are_byte_identical() {
     for design_seed in [7u64, 23] {
@@ -70,98 +68,63 @@ fn dispatch_variants_are_byte_identical() {
         let deck = shared_deck();
         let baseline = Engine::sequential().check(&layout, &deck).violations;
         for mode in [Mode::Sequential, Mode::Parallel] {
-            for planner in [false, true] {
-                for host_threads in [1usize, 2, 8] {
-                    let engine = match mode {
-                        Mode::Sequential => Engine::sequential(),
-                        Mode::Parallel => Engine::parallel_on(Device::new(3)),
-                    };
-                    let got = engine
-                        .with_options(options(planner, host_threads))
-                        .check(&layout, &deck)
-                        .violations;
-                    assert_eq!(
-                        got, baseline,
-                        "design {design_seed} mode {mode:?} planner {planner} \
-                         host_threads {host_threads} diverged"
-                    );
-                }
+            for host_threads in [1usize, 2, 8] {
+                let engine = match mode {
+                    Mode::Sequential => Engine::sequential(),
+                    Mode::Parallel => Engine::parallel_on(Device::new(3)),
+                };
+                let got = engine
+                    .with_options(options(host_threads))
+                    .check(&layout, &deck)
+                    .violations;
+                assert_eq!(
+                    got, baseline,
+                    "design {design_seed} mode {mode:?} host_threads {host_threads} diverged"
+                );
             }
         }
     }
 }
 
-/// Pooled (persistent worker) and scoped (thread-per-launch) dispatch
-/// must agree — the pool is a scheduling change, not a semantic one.
-#[test]
-fn pooled_and_scoped_dispatch_agree() {
-    let layout = generate_layout(&DesignSpec::tiny(13));
-    let deck = shared_deck();
-    for planner in [false, true] {
-        let pooled = Engine::parallel_on(Device::new(3))
-            .with_options(options(planner, 2))
-            .check(&layout, &deck);
-        let device = Device::new(3);
-        device.set_dispatch_mode(DispatchMode::Scoped);
-        let scoped = Engine::parallel_on(device)
-            .with_options(options(planner, 2))
-            .check(&layout, &deck);
-        assert_eq!(
-            pooled.violations, scoped.violations,
-            "planner {planner}: dispatch mode changed the violation set"
-        );
-    }
-}
-
-/// Under 25 seeded fault schedules, every dispatch variant reports the
-/// clean baseline, with degradation accounted iff faults actually
-/// fired. (The *per-stream* guarantee that a fused batch ticks the
-/// same fault ordinals as direct stream calls is pinned by the xpu
-/// stream tests; the *total* fired across a run is not comparable
-/// between variants, because concurrent streams race for the
-/// device-global ordinal counter — only the reported result is
-/// contractual.)
+/// Under 25 seeded fault schedules, the pooled parallel engine reports
+/// the clean sequential baseline, with degradation accounted iff faults
+/// actually fired. (The *per-stream* guarantee that a fused batch ticks
+/// the same fault ordinals as direct stream calls is pinned by the xpu
+/// stream tests; the *total* fired across a run is scheduling-dependent,
+/// because concurrent streams race for the device-global ordinal
+/// counter — only the reported result is contractual.)
 #[test]
 fn fault_seeds_agree_across_dispatch_variants() {
     let layout = generate_layout(&DesignSpec::tiny(11));
     let deck = shared_deck();
     let clean = Engine::sequential().check(&layout, &deck).violations;
     for fault_seed in 0u64..25 {
-        for (dispatch, planner) in [
-            (DispatchMode::Pooled, true),
-            (DispatchMode::Scoped, true),
-            (DispatchMode::Pooled, false),
-        ] {
-            let device = Device::new(3);
-            device.set_dispatch_mode(dispatch);
-            device.set_fault_plan(Some(FaultPlan::from_seed(fault_seed, 6)));
-            let report = Engine::parallel_on(device.clone())
-                .with_options(options(planner, 2))
-                .check(&layout, &deck);
-            assert_eq!(
-                report.violations, clean,
-                "seed {fault_seed} dispatch {dispatch:?} planner {planner} \
-                 changed the results"
-            );
-            assert_eq!(
-                report.stats.degraded(),
-                device.faults_injected() > 0,
-                "seed {fault_seed} dispatch {dispatch:?} planner {planner}: \
-                 degradation must be reported iff faults fired"
-            );
-        }
+        let device = Device::new(3);
+        device.set_fault_plan(Some(FaultPlan::from_seed(fault_seed, 6)));
+        let report = Engine::parallel_on(device.clone())
+            .with_options(options(2))
+            .check(&layout, &deck);
+        assert_eq!(
+            report.violations, clean,
+            "seed {fault_seed} changed the results"
+        );
+        assert_eq!(
+            report.stats.degraded(),
+            device.faults_injected() > 0,
+            "seed {fault_seed}: degradation must be reported iff faults fired"
+        );
     }
 }
 
 /// The dispatch counters surface through `EngineStats`: fused launches
 /// in any parallel run, and graph replays whenever two rules share a row
-/// set with the planner on.
+/// set.
 #[test]
 fn dispatch_counters_are_reported() {
     let layout = generate_layout(&DesignSpec::tiny(5));
     let deck = shared_deck();
     let fused = Engine::parallel_on(Device::new(3))
-        .with_options(options(true, 1))
+        .with_options(options(1))
         .check(&layout, &deck);
     assert!(
         fused.stats.launches_fused > 0,
@@ -172,10 +135,8 @@ fn dispatch_counters_are_reported() {
         "the two M1 spacing rules share one row set, so the second \
          must replay the recorded graph"
     );
-
-    let no_graph = Engine::parallel_on(Device::new(3))
-        .with_options(options(false, 1))
-        .check(&layout, &deck);
-    assert_eq!(no_graph.stats.graph_replays, 0, "replay gated off");
-    assert_eq!(no_graph.violations, fused.violations);
+    assert_eq!(
+        fused.violations,
+        Engine::sequential().check(&layout, &deck).violations
+    );
 }

@@ -256,3 +256,59 @@ fn property_seeded_fault_schedules_preserve_results() {
         );
     }
 }
+
+/// Delta re-checks run each rule issue → collect → recovery drain on a
+/// fresh stream of its own. Under 25 seeded fault schedules a parallel
+/// `check_delta` must still equal the clean full check of the edited
+/// layout, and report degradation iff faults fired.
+#[test]
+fn parallel_delta_survives_seeded_fault_schedules() {
+    use odrc_db::LayerPolygon;
+    use odrc_geometry::{Point, Polygon, Rect, Transform};
+
+    let old = generate_layout(&DesignSpec::paper("uart").expect("paper design"));
+    // Two edits: shift the first top-level placement, and drop a small
+    // M2 shape in the middle of the die.
+    let mut new = old.clone();
+    let top = new.top();
+    let moved = new.cell(top).refs()[0]
+        .transform
+        .then(&Transform::translation(Point::new(7, 0)));
+    new.move_ref(top, 0, moved).expect("valid move");
+    let mbr = new.cell(top).mbr().expect("non-empty design");
+    let (cx, cy) = ((mbr.lo().x + mbr.hi().x) / 2, (mbr.lo().y + mbr.hi().y) / 2);
+    new.add_polygon(
+        top,
+        LayerPolygon {
+            layer: tech::M2,
+            datatype: 0,
+            polygon: Polygon::rect(Rect::from_coords(cx, cy, cx + 30, cy + 12)),
+            name: None,
+        },
+    )
+    .expect("valid polygon");
+
+    let deck = deck();
+    let base = parallel_engine(Device::new(3)).check(&old, &deck);
+    let full = parallel_engine(Device::new(3)).check(&new, &deck);
+    let mut seeds_fired = 0usize;
+    for seed in 0u64..25 {
+        let device = Device::new(3);
+        device.set_fault_plan(Some(FaultPlan::from_seed(seed, 6)));
+        let report =
+            parallel_engine(device.clone()).check_delta(&old, &base.violations, &new, &deck);
+        assert!(!report.dirty.is_empty(), "the edits must dirty the layout");
+        assert_eq!(
+            report.violations, full.violations,
+            "seed {seed}: faulted delta re-check diverged from the clean full check"
+        );
+        let fired = device.faults_injected() > 0;
+        seeds_fired += usize::from(fired);
+        assert_eq!(
+            report.stats.degraded(),
+            fired,
+            "seed {seed}: degradation must be reported iff faults fired"
+        );
+    }
+    assert!(seeds_fired > 0, "no seeded schedule fired any fault");
+}

@@ -6,8 +6,8 @@
 //! threads — but must never change *what* is reported. Every test here
 //! pits multi-threaded runs against the single-threaded baseline
 //! (`host_threads = 1`, which runs every fan-out inline on the caller)
-//! and demands byte-identical canonical violation sets, across modes,
-//! planner settings, and injected device faults.
+//! and demands byte-identical canonical violation sets, across modes
+//! and injected device faults.
 
 use odrc::{rule, Engine, EngineOptions, Mode, RuleDeck, Violation};
 use odrc_layoutgen::{generate_layout, tech, DesignSpec};
@@ -56,26 +56,20 @@ fn deck() -> RuleDeck {
     ])
 }
 
-fn engine(mode: Mode, planner: bool, host_threads: usize) -> Engine {
+fn engine(mode: Mode, host_threads: usize) -> Engine {
     let base = match mode {
         Mode::Sequential => Engine::sequential(),
         Mode::Parallel => Engine::parallel_on(Device::new(3)),
     };
     base.with_options(EngineOptions {
-        planner,
         retry_backoff_ms: 0,
         host_threads: Some(host_threads),
         ..EngineOptions::default()
     })
 }
 
-fn check(
-    layout: &odrc_db::Layout,
-    mode: Mode,
-    planner: bool,
-    host_threads: usize,
-) -> odrc::CheckReport {
-    engine(mode, planner, host_threads).check(layout, &deck())
+fn check(layout: &odrc_db::Layout, mode: Mode, host_threads: usize) -> odrc::CheckReport {
+    engine(mode, host_threads).check(layout, &deck())
 }
 
 /// Running the exact same configuration repeatedly must reproduce the
@@ -85,9 +79,9 @@ fn check(
 fn repeated_runs_are_deterministic() {
     let layout = generate_layout(&DesignSpec::tiny(77));
     for (mode, threads) in [(Mode::Sequential, 8), (Mode::Parallel, 8)] {
-        let first = check(&layout, mode, true, threads);
+        let first = check(&layout, mode, threads);
         for _ in 0..4 {
-            let again = check(&layout, mode, true, threads);
+            let again = check(&layout, mode, threads);
             assert_eq!(
                 again.violations, first.violations,
                 "mode {mode:?} with {threads} host threads is not deterministic"
@@ -110,13 +104,13 @@ fn repeated_runs_are_deterministic() {
 #[test]
 fn task_accounting_tracks_thread_count() {
     let layout = generate_layout(&DesignSpec::tiny(78));
-    let serial = check(&layout, Mode::Sequential, true, 1);
+    let serial = check(&layout, Mode::Sequential, 1);
     assert!(
         serial.stats.host_tasks > 0,
         "the one-thread executor must run the host phases as inline tasks"
     );
     assert_eq!(serial.stats.host_steals, 0);
-    let fanned = check(&layout, Mode::Sequential, true, 2);
+    let fanned = check(&layout, Mode::Sequential, 2);
     assert!(
         fanned.stats.host_tasks > 0,
         "a two-thread pool must route host phases through the executor"
@@ -129,22 +123,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// On generated designs, every host-thread count reports violations
-    /// byte-identical to the single-threaded run, in both modes, with
-    /// the planner on and off.
+    /// byte-identical to the single-threaded run, in both modes.
     #[test]
     fn prop_host_threads_match_serial(design_seed in 0u64..1_000) {
         let layout = generate_layout(&DesignSpec::tiny(design_seed));
-        let baseline = check(&layout, Mode::Sequential, false, 1).violations;
+        let baseline = check(&layout, Mode::Sequential, 1).violations;
         for mode in [Mode::Sequential, Mode::Parallel] {
-            for planner in [false, true] {
-                for threads in THREADS {
-                    let got = check(&layout, mode, planner, threads).violations;
-                    prop_assert_eq!(
-                        &got, &baseline,
-                        "mode {:?} planner {} host_threads {} diverged on design seed {}",
-                        mode, planner, threads, design_seed
-                    );
-                }
+            for threads in THREADS {
+                let got = check(&layout, mode, threads).violations;
+                prop_assert_eq!(
+                    &got, &baseline,
+                    "mode {:?} host_threads {} diverged on design seed {}",
+                    mode, threads, design_seed
+                );
             }
         }
     }
@@ -159,13 +150,12 @@ proptest! {
     ) {
         let layout = generate_layout(&DesignSpec::tiny(design_seed));
         let baseline: Vec<Violation> =
-            check(&layout, Mode::Sequential, false, 1).violations;
+            check(&layout, Mode::Sequential, 1).violations;
         for threads in THREADS {
             let device = Device::new(3);
             device.set_fault_plan(Some(FaultPlan::from_seed(fault_seed, 6)));
             let report = Engine::parallel_on(device.clone())
                 .with_options(EngineOptions {
-                    planner: true,
                     retry_backoff_ms: 0,
                     host_threads: Some(threads),
                     ..EngineOptions::default()

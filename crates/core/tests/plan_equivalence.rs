@@ -1,12 +1,12 @@
 //! Execution-planner equivalence and accounting tests.
 //!
 //! The planner changes *when* work happens — one scene per layer, one
-//! upload per row set, all rules issued before any is collected — but
+//! upload per row set, parallel rules issued ahead of collection — but
 //! must never change *what* is reported. Every test here pits the
-//! planned engine against the strict per-rule loop
-//! (`EngineOptions { planner: false, .. }`) and demands byte-identical
-//! canonical violation sets, in both modes, with and without injected
-//! device faults.
+//! parallel engine against the sequential reference (each rule run to
+//! completion before the next) and demands byte-identical canonical
+//! violation sets, with and without injected device faults. The
+//! sharing itself is pinned by absolute counts.
 
 use odrc::{rule, Engine, EngineOptions, Mode, RuleDeck, Violation};
 use odrc_layoutgen::{generate_layout, tech, DesignSpec};
@@ -53,27 +53,26 @@ fn shared_deck() -> RuleDeck {
     ])
 }
 
-fn engine(mode: Mode, planner: bool) -> Engine {
+fn engine(mode: Mode) -> Engine {
     let base = match mode {
         Mode::Sequential => Engine::sequential(),
         Mode::Parallel => Engine::parallel_on(Device::new(3)),
     };
     base.with_options(EngineOptions {
-        planner,
         retry_backoff_ms: 0,
         ..EngineOptions::default()
     })
 }
 
-fn check(layout: &odrc_db::Layout, mode: Mode, planner: bool) -> odrc::CheckReport {
-    engine(mode, planner).check(layout, &shared_deck())
+fn check(layout: &odrc_db::Layout, mode: Mode) -> odrc::CheckReport {
+    engine(mode).check(layout, &shared_deck())
 }
 
 #[test]
 fn sequential_scene_memo_builds_each_layer_once() {
     let layout = generate_layout(&DesignSpec::tiny(31));
-    // Two spacing rules on M1 and the enclosure reading M2: with the
-    // planner, each layer's scene is built exactly once per run.
+    // Two spacing rules on M1 and the enclosure reading M2: each
+    // layer's scene is built exactly once per run.
     let deck = RuleDeck::new(vec![
         rule()
             .layer(tech::M1)
@@ -103,93 +102,95 @@ fn sequential_scene_memo_builds_each_layer_once() {
     // memo hits.
     assert_eq!(report.stats.scenes_built, 3, "one build per layer");
     assert_eq!(report.stats.scenes_reused, 2, "every re-read is a memo hit");
-
-    // The per-rule loop rebuilds instead: one build per read.
-    let off = engine(Mode::Sequential, false).check(&layout, &deck);
-    assert_eq!(off.stats.scenes_built, 5);
-    assert_eq!(off.stats.scenes_reused, 0);
-    assert_eq!(off.violations, report.violations);
+    assert_eq!(
+        engine(Mode::Parallel).check(&layout, &deck).violations,
+        report.violations
+    );
 }
 
 #[test]
 fn planner_shares_row_uploads_across_rules() {
     let layout = generate_layout(&DesignSpec::tiny(32));
-    let on = check(&layout, Mode::Parallel, true);
-    let off = check(&layout, Mode::Parallel, false);
-    assert_eq!(on.violations, off.violations);
-    assert!(on.stats.scenes_reused > 0, "scene memo must hit");
-    assert!(on.stats.uploads_elided > 0, "row buffers must be shared");
+    let m1_space = rule()
+        .layer(tech::M1)
+        .space()
+        .greater_than(tech::M1_SPACE)
+        .named("M1.S.1");
+    // Same layer and distance as M1.S.1, so the same row-set key.
+    let m1_space_projected = rule()
+        .layer(tech::M1)
+        .space()
+        .when_projection_at_least(tech::M1_WIDTH)
+        .greater_than(tech::M1_SPACE)
+        .named("M1.S.2");
+    let one = RuleDeck::new(vec![m1_space.clone()]);
+    let two = RuleDeck::new(vec![m1_space, m1_space_projected]);
+    let single = engine(Mode::Parallel).check(&layout, &one);
+    let shared = engine(Mode::Parallel).check(&layout, &two);
     assert!(
-        on.stats.uploads_elided > off.stats.uploads_elided,
-        "cross-rule sharing must elide uploads beyond the within-rule \
-         emit-phase reuse ({} vs {})",
-        on.stats.uploads_elided,
-        off.stats.uploads_elided
+        single.stats.bytes_uploaded > 0,
+        "the first rule uploads its rows"
+    );
+    assert_eq!(
+        shared.stats.bytes_uploaded, single.stats.bytes_uploaded,
+        "a second rule on the same row set uploads nothing"
     );
     assert!(
-        on.stats.bytes_uploaded < off.stats.bytes_uploaded,
-        "shared buffers must shrink the transferred volume ({} vs {})",
-        on.stats.bytes_uploaded,
-        off.stats.bytes_uploaded
+        shared.stats.uploads_elided > single.stats.uploads_elided,
+        "the second rule acquires the resident rows ({} vs {})",
+        shared.stats.uploads_elided,
+        single.stats.uploads_elided
+    );
+    assert_eq!(
+        shared.violations,
+        engine(Mode::Sequential).check(&layout, &two).violations
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// On generated designs, the planned engine and the per-rule loop
-    /// report byte-identical canonical violations in both modes.
+    /// On generated designs, the planned parallel engine and the
+    /// sequential per-rule loop report byte-identical canonical
+    /// violations.
     #[test]
     fn prop_planner_matches_per_rule_loop(design_seed in 0u64..1_000) {
         let layout = generate_layout(&DesignSpec::tiny(design_seed));
-        let baseline = check(&layout, Mode::Sequential, false).violations;
-        for (mode, planner) in [
-            (Mode::Sequential, true),
-            (Mode::Parallel, false),
-            (Mode::Parallel, true),
-        ] {
-            let got = check(&layout, mode, planner).violations;
-            prop_assert_eq!(
-                &got, &baseline,
-                "mode {:?} planner {} diverged on design seed {}",
-                mode, planner, design_seed
-            );
-        }
+        let baseline = check(&layout, Mode::Sequential).violations;
+        let got = check(&layout, Mode::Parallel).violations;
+        prop_assert_eq!(
+            &got, &baseline,
+            "parallel mode diverged on design seed {}",
+            design_seed
+        );
     }
 
     /// Under seeded fault schedules, the planned concurrent engine
-    /// still reports exactly the fault-free baseline (faults land on
-    /// different ordinals with the planner on, so the comparison is
-    /// against the clean run, not the faulted per-rule run).
+    /// still reports exactly the fault-free sequential reference.
     #[test]
     fn prop_planner_survives_fault_injection(
         design_seed in 0u64..100,
         fault_seed in 0u64..200,
     ) {
         let layout = generate_layout(&DesignSpec::tiny(design_seed));
-        let baseline: Vec<Violation> =
-            check(&layout, Mode::Parallel, false).violations;
-        for planner in [false, true] {
-            let device = Device::new(3);
-            device.set_fault_plan(Some(FaultPlan::from_seed(fault_seed, 6)));
-            let report = Engine::parallel_on(device.clone())
-                .with_options(EngineOptions {
-                    planner,
-                    retry_backoff_ms: 0,
-                    ..EngineOptions::default()
-                })
-                .check(&layout, &shared_deck());
-            prop_assert_eq!(
-                &report.violations, &baseline,
-                "planner {} fault seed {} changed the results on design {}",
-                planner, fault_seed, design_seed
-            );
-            prop_assert_eq!(
-                report.stats.degraded(),
-                device.faults_injected() > 0,
-                "planner {}: degradation must be reported iff faults fired",
-                planner
-            );
-        }
+        let baseline: Vec<Violation> = check(&layout, Mode::Sequential).violations;
+        let device = Device::new(3);
+        device.set_fault_plan(Some(FaultPlan::from_seed(fault_seed, 6)));
+        let report = Engine::parallel_on(device.clone())
+            .with_options(EngineOptions {
+                retry_backoff_ms: 0,
+                ..EngineOptions::default()
+            })
+            .check(&layout, &shared_deck());
+        prop_assert_eq!(
+            &report.violations, &baseline,
+            "fault seed {} changed the results on design {}",
+            fault_seed, design_seed
+        );
+        prop_assert_eq!(
+            report.stats.degraded(),
+            device.faults_injected() > 0,
+            "degradation must be reported iff faults fired"
+        );
     }
 }

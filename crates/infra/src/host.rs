@@ -356,11 +356,6 @@ impl HostExecutor {
         self.threads
     }
 
-    /// `true` when this executor never spawns (one thread).
-    pub fn is_serial(&self) -> bool {
-        self.threads <= 1
-    }
-
     /// The extra-thread gate, for sharing the budget with other
     /// components (the device's kernel dispatch). `None` when serial.
     pub fn gate(&self) -> Option<Arc<ThreadGate>> {
@@ -647,7 +642,6 @@ mod tests {
     #[test]
     fn serial_executor_runs_inline() {
         let host = HostExecutor::new(1);
-        assert!(host.is_serial());
         assert!(host.gate().is_none());
         let out = host.run("t", 10, |i| i + 1);
         assert_eq!(out, (1..=10).collect::<Vec<_>>());
@@ -752,7 +746,6 @@ mod tests {
     fn shared_gate_serial_executor_ignores_gate() {
         let gate = Arc::new(ThreadGate::new(2));
         let host = HostExecutor::with_shared_gate(1, Arc::clone(&gate));
-        assert!(host.is_serial());
         assert!(host.gate().is_none());
         assert_eq!(host.run("t", 5, |i| i), vec![0, 1, 2, 3, 4]);
         assert_eq!(gate.available(), 2);

@@ -48,7 +48,6 @@ pub mod journal;
 pub mod merge;
 pub mod partition;
 pub mod profile;
-pub mod quadtree;
 pub mod region;
 pub mod rss;
 pub mod rtree;
@@ -61,7 +60,6 @@ pub use interval_tree::IntervalTree;
 pub use journal::{fnv1a64, RecordLog};
 pub use partition::{partition_rows, Row, RowPartition};
 pub use profile::Profiler;
-pub use quadtree::QuadTree;
 pub use region::{BoolOp, Region};
 pub use rss::{peak_rss_bytes, reset_peak_rss};
 pub use rtree::RTree;

@@ -167,38 +167,24 @@ fn partition_intervals(extents: &[Interval], host: Option<&HostExecutor>) -> Vec
         .collect();
 
     // Assign each extent to the unique merged interval containing it,
-    // found by binary search on row start. With a (parallel) executor,
-    // the searches fan out and only the member fill stays serial, which
-    // keeps member lists in ascending index order either way.
-    match host {
-        Some(host) if !host.is_serial() && extents.len() > 1 => {
-            let positions = host.run("partition", extents.len(), |i| {
-                rows.partition_point(|row| row.y.lo() <= extents[i].lo())
-            });
-            for (i, (pos, e)) in positions.into_iter().zip(extents).enumerate() {
-                debug_assert!(pos > 0, "extent {e} precedes every row");
-                let row = &mut rows[pos - 1];
-                debug_assert!(
-                    row.y.contains(e.lo()) && row.y.contains(e.hi()),
-                    "extent {e} not contained in its row {}",
-                    row.y
-                );
-                row.members.push(i);
-            }
-        }
-        _ => {
-            for (i, e) in extents.iter().enumerate() {
-                let pos = rows.partition_point(|row| row.y.lo() <= e.lo());
-                debug_assert!(pos > 0, "extent {e} precedes every row");
-                let row = &mut rows[pos - 1];
-                debug_assert!(
-                    row.y.contains(e.lo()) && row.y.contains(e.hi()),
-                    "extent {e} not contained in its row {}",
-                    row.y
-                );
-                row.members.push(i);
-            }
-        }
+    // found by binary search on row start. The searches fan out on the
+    // executor when one is given (a one-thread executor runs them inline
+    // in index order); the member fill stays serial, which keeps member
+    // lists in ascending index order.
+    let find = |i: usize| rows.partition_point(|row| row.y.lo() <= extents[i].lo());
+    let positions: Vec<usize> = match host {
+        Some(host) => host.run("partition", extents.len(), find),
+        None => (0..extents.len()).map(find).collect(),
+    };
+    for (i, (pos, e)) in positions.into_iter().zip(extents).enumerate() {
+        debug_assert!(pos > 0, "extent {e} precedes every row");
+        let row = &mut rows[pos - 1];
+        debug_assert!(
+            row.y.contains(e.lo()) && row.y.contains(e.hi()),
+            "extent {e} not contained in its row {}",
+            row.y
+        );
+        row.members.push(i);
     }
     rows
 }
